@@ -7,8 +7,7 @@ prints the Monte-Carlo estimate next to the exact value.
 """
 
 import math
-
-from scipy.stats import norm
+from statistics import NormalDist
 
 from causalblocks import PlaceAction, predict_stability
 from causalblocks.scenarios import two_cube_scenario
@@ -20,10 +19,10 @@ HALF_WIDTH = 0.05
 
 def exact(offset_x, offset_y):
     sigma = math.hypot(SIGMA_S, SIGMA_A)
+    cdf = NormalDist().cdf
 
     def axis(offset):
-        return norm.cdf((HALF_WIDTH - offset) / sigma) - norm.cdf(
-            (-HALF_WIDTH - offset) / sigma)
+        return cdf((HALF_WIDTH - offset) / sigma) - cdf((-HALF_WIDTH - offset) / sigma)
 
     return axis(offset_x) * axis(offset_y)
 

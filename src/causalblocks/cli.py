@@ -66,6 +66,16 @@ def _parse_action(spec: str, scenario: Scenario) -> Action:
         f"cannot parse action {spec!r}; expected 'null' or 'place BLOCK_ID DX DY'")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_grid(spec: str) -> tuple[int, int]:
     try:
         nx_s, ny_s = spec.lower().split("x")
@@ -185,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     pre = sub.add_parser("predict", help="estimate stability probability")
     pre.add_argument("--scenario", required=True)
     pre.add_argument("--action", required=True)
-    pre.add_argument("--n", type=int, default=2000, help="Monte-Carlo samples")
+    pre.add_argument("--n", type=_positive_int, default=2000, help="Monte-Carlo samples")
     pre.add_argument("--seed", required=True, type=int)
     pre.set_defaults(func=cmd_predict)
 
@@ -193,11 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
     hea.add_argument("--scenario", required=True)
     hea.add_argument("--block", required=True, help="pending block id to place")
     hea.add_argument("--grid", default="9x9", help="candidate grid, NXxNY")
-    hea.add_argument("--n", type=int, default=2000, help="samples per cell")
+    hea.add_argument("--n", type=_positive_int, default=2000, help="samples per cell")
     hea.add_argument("--seed", required=True, type=int)
     hea.add_argument("--out", required=True, help="CSV output path")
     hea.add_argument("--pgm", default=None, help="optional PGM output path")
-    hea.add_argument("--workers", type=int, default=1)
+    hea.add_argument("--workers", type=_positive_int, default=1)
     hea.set_defaults(func=cmd_heatmap)
 
     sel = sub.add_parser("select", help="pick the next placement offset")
@@ -205,15 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--block", required=True)
     sel.add_argument("--grid", default="9x9")
     sel.add_argument("--threshold", type=float, default=0.8)
-    sel.add_argument("--n", type=int, default=2000)
+    sel.add_argument("--n", type=_positive_int, default=2000)
     sel.add_argument("--seed", required=True, type=int)
     sel.add_argument("--out", default=None, help="optional heatmap CSV dump")
-    sel.add_argument("--workers", type=int, default=1)
+    sel.add_argument("--workers", type=_positive_int, default=1)
     sel.set_defaults(func=cmd_select)
 
     exp = sub.add_parser("explain", help="counterfactual explanations for a trace")
     exp.add_argument("--trace", required=True, help="trace JSON path")
-    exp.add_argument("--n", type=int, default=2000, help="abduction samples")
+    exp.add_argument("--n", type=_positive_int, default=2000, help="abduction samples")
     exp.add_argument("--seed", required=True, type=int)
     exp.add_argument("--out", default=None, help="optional JSON report path")
     exp.set_defaults(func=cmd_explain)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -31,8 +32,9 @@ class SchemaError(ValidationError):
 # Seeding contract
 # ---------------------------------------------------------------------------
 #
-# Every random draw in this package is made from a NumPy generator seeded by
-# ``derive_sample_seed(master_seed, stream_label, sample_index)``. The mix is
+# Every random draw in this package comes from a per-sample seed
+# ``derive_sample_seed(master_seed, stream_label, sample_index)`` (see
+# ``scm`` for how a seed becomes noise draws). The mix is
 # a splitmix64 avalanche chain, fixed here so any implementation (or another
 # language) can reproduce the exact seed stream:
 #
@@ -63,6 +65,18 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` applied elementwise to a fresh uint64 array, in place."""
+    with np.errstate(over="ignore"):
+        x += np.uint64(_SM_GAMMA)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(_SM_MUL1)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(_SM_MUL2)
+        x ^= x >> np.uint64(31)
+    return x
+
+
 def _label_state(master_seed: int, stream_label: str) -> int:
     state = _splitmix64(master_seed & _MASK64)
     for b in stream_label.encode("utf-8"):
@@ -86,13 +100,7 @@ def derive_sample_seeds(master_seed: int, stream_label: str, n: int, start: int 
     start + i)`` exactly.
     """
     state = np.uint64(_label_state(master_seed, stream_label))
-    idx = (np.arange(start, start + n, dtype=np.uint64)) ^ state
-    with np.errstate(over="ignore"):
-        x = idx + np.uint64(_SM_GAMMA)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_MUL1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_MUL2)
-        x = x ^ (x >> np.uint64(31))
-    return x
+    return _splitmix64_array(np.arange(start, start + n, dtype=np.uint64) ^ state)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +291,11 @@ NULL_ACTION = NullAction()
 # ---------------------------------------------------------------------------
 
 
+# A discrete draw indexes the support as (m * k) >> 52 with a 52-bit m in
+# uint64 arithmetic, which stays exact only while k <= 2^12.
+MAX_SUPPORT_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Zero-mean sensor and actuation noise, i.i.d. per block and per axis.
@@ -302,8 +315,9 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not (self.sigma_s >= 0.0) or not (self.sigma_a >= 0.0):
             raise ValidationError("noise sigmas must be >= 0")
-        if self.support_points is not None and self.support_points < 1:
-            raise ValidationError("support_points must be >= 1 when given")
+        if self.support_points is not None and not (1 <= self.support_points <= MAX_SUPPORT_POINTS):
+            raise ValidationError(
+                f"support_points must be between 1 and {MAX_SUPPORT_POINTS} when given")
 
     @property
     def discrete(self) -> bool:
@@ -313,10 +327,9 @@ class NoiseModel:
         """Unit support values for discrete mode (scaled by sigma at draw time)."""
         if self.support_points is None:
             raise ValidationError("support_grid is only defined in discrete mode")
-        from scipy.special import ndtri
-
         k = self.support_points
-        return ndtri((np.arange(k) + 0.5) / k)
+        inv_cdf = NormalDist().inv_cdf
+        return np.array([inv_cdf((j + 0.5) / k) for j in range(k)])
 
 
 @dataclass(frozen=True)
@@ -497,6 +510,25 @@ def _block_spec_to_dict(spec: BlockSpec) -> dict:
     }
 
 
+def _noise_from_dict(obj: dict, where: str) -> NoiseModel:
+    _check_keys(obj, ("sigma_s", "sigma_a"), ("support_points",), where=where)
+    k = obj.get("support_points")
+    if "support_points" in obj and (isinstance(k, bool) or not isinstance(k, int)):
+        raise SchemaError(f"{where}: field 'support_points' must be an integer")
+    try:
+        return NoiseModel(_number(obj, "sigma_s", where), _number(obj, "sigma_a", where),
+                          support_points=k)
+    except ValidationError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def _noise_to_dict(noise: NoiseModel) -> dict:
+    doc = {"sigma_s": noise.sigma_s, "sigma_a": noise.sigma_a}
+    if noise.support_points is not None:
+        doc["support_points"] = noise.support_points
+    return doc
+
+
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document (strict: unknown fields
     are rejected)."""
@@ -522,16 +554,11 @@ def parse_scenario(doc: dict) -> Scenario:
         for i, entry in enumerate(doc["pending_blocks"])
     )
 
-    noise_obj = doc["noise"]
-    _check_keys(noise_obj, ("sigma_s", "sigma_a"), where="scenario.noise")
+    noise = _noise_from_dict(doc["noise"], "scenario.noise")
     try:
-        noise = NoiseModel(_number(noise_obj, "sigma_s", "scenario.noise"),
-                           _number(noise_obj, "sigma_a", "scenario.noise"))
         tower = TowerState(tuple(placed), support_half_extents=support)
         tower.validate()
     except ValidationError as exc:
-        if isinstance(exc, SchemaError):
-            raise
         raise SchemaError(f"scenario: {exc}") from exc
 
     ids = [b.spec.id for b in placed] + [s.id for s in pending]
@@ -553,7 +580,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "support_half_extents": list(scenario.tower.support_half_extents),
         "blocks": blocks,
         "pending_blocks": [_block_spec_to_dict(s) for s in scenario.pending_blocks],
-        "noise": {"sigma_s": scenario.noise.sigma_s, "sigma_a": scenario.noise.sigma_a},
+        "noise": _noise_to_dict(scenario.noise),
     }
 
 

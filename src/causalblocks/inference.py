@@ -45,6 +45,9 @@ class PredictionEstimate:
     n_samples: int
 
 
+_PREDICT_CHUNK = 65536
+
+
 def predict_stability(belief: TowerState, action: Action, noise: NoiseModel,
                       n_samples: int, seed: int,
                       stream_label: str = "predict") -> PredictionEstimate:
@@ -52,15 +55,22 @@ def predict_stability(belief: TowerState, action: Action, noise: NoiseModel,
 
     Sample i uses the seed stream (stream_label, i); the estimate is the
     plain mean of the per-sample outcomes with stderr sqrt(p(1-p)/n).
+    Samples are drawn and scored in chunks, so memory stays bounded in n
+    and the result does not depend on the chunk size.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    seeds = derive_sample_seeds(seed, stream_label, n_samples)
-    ws, wa = draw_exogenous_batch(seeds, len(belief), noise)
-    s0h = belief.centers()[None, :, :] - ws
-    belief_top = np.broadcast_to(np.array(belief.top_center()), (n_samples, 2))
-    outcomes = outcome_mask(s0h, belief_top, action, wa, base=belief)
-    p = float(outcomes.mean())
+    centers = belief.centers()[None, :, :]
+    top = np.array(belief.top_center())
+    hits = 0
+    for start in range(0, n_samples, _PREDICT_CHUNK):
+        m = min(_PREDICT_CHUNK, n_samples - start)
+        seeds = derive_sample_seeds(seed, stream_label, m, start=start)
+        ws, wa = draw_exogenous_batch(seeds, len(belief), noise)
+        outcomes = outcome_mask(centers - ws, np.broadcast_to(top, (m, 2)), action, wa,
+                                base=belief)
+        hits += int(np.count_nonzero(outcomes))
+    p = hits / n_samples
     stderr = math.sqrt(p * (1.0 - p) / n_samples)
     return PredictionEstimate(p=p, stderr=stderr, n_samples=n_samples)
 

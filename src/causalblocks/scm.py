@@ -19,8 +19,10 @@ belief at ``z0`` exactly (equivalently, sampling the true state's posterior
 under a flat prior). ``counterfactual_outcomes`` then replays those worlds
 with one variable forced.
 
-Every draw comes from a per-sample seed (see ``core.derive_sample_seed``),
-so estimates do not depend on batching or worker scheduling.
+Every draw comes from a per-sample seed (see ``core.derive_sample_seed``).
+A seed keys a counter-based SplitMix64 stream, and all samples of a batch
+are drawn in one array computation, so estimates do not depend on batching
+or worker scheduling.
 """
 
 from __future__ import annotations
@@ -45,11 +47,16 @@ from .core import (
     TowerState,
     ValidationError,
     derive_sample_seeds,
+    _MASK64,
+    _SM_GAMMA,
     _block_spec_from_dict,
     _block_spec_to_dict,
     _check_keys,
+    _noise_from_dict,
+    _noise_to_dict,
     _number,
     _pair,
+    _splitmix64_array,
 )
 from .physics import TransitionResult, outcome_mask, transition
 
@@ -71,44 +78,66 @@ class AbductionFailure(RuntimeError):
 # Exogenous draws
 # ---------------------------------------------------------------------------
 #
-# Draw order contract: one episode consumes a single (B+1, 2) block of unit
-# draws from its seeded generator; rows 0..B-1 scale by sigma_s into the
-# per-block sensing errors, row B scales by sigma_a into the actuation
-# error. The batch form repeats the identical per-seed construction, so a
-# batched estimate equals the sample-by-sample one bit for bit.
+# Draw contract v2. Sample seed s keys a SplitMix64 stream whose output j is
+# splitmix64((s + j * 0x9E3779B97F4A7C15) mod 2^64), i.e. the j-th output of
+# a standard SplitMix64 generator seeded at s, so any output is computable
+# from (s, j) alone. One episode consumes a (B+1, 2) block of unit draws:
+# row r takes outputs 2r (x) and 2r+1 (y); rows 0..B-1 scale by sigma_s into
+# the per-block sensing errors, row B scales by sigma_a into the actuation
+# error. Each output keeps its top 52 bits, m = out >> 12, so that m + 0.5 is
+# exact in float64 and u = (m + 0.5) * 2^-52 lies strictly inside (0, 1).
+#
+#   Gaussian: Box-Muller on each row, u1 = (m_x + 0.5) * 2^-52 and
+#             u2 = m_y * 2^-52, giving sqrt(-2 ln u1) * (cos, sin)(2 pi u2).
+#   Discrete: each component indexes the support grid at (m * k) >> 52.
+#
+# A batch is the same per-seed computation done as one array operation, so
+# a batched estimate equals the sample-by-sample one bit for bit.
+
+_TWO_M52 = 2.0 ** -52
 
 
-def _unit_draws(rng: np.random.Generator, rows: int, noise: NoiseModel) -> np.ndarray:
-    if noise.discrete:
-        grid = noise.support_grid()
-        idx = rng.integers(0, noise.support_points, size=(rows, 2))
-        return grid[idx]
-    return rng.standard_normal((rows, 2))
+def _splitmix64_stream(seeds: np.ndarray, count: int) -> np.ndarray:
+    """(n, count) uint64 array: out[i, j] is output j of the stream keyed by seeds[i]."""
+    with np.errstate(over="ignore"):
+        steps = np.arange(count, dtype=np.uint64) * np.uint64(_SM_GAMMA)
+        return _splitmix64_array(seeds[:, None] + steps)
 
 
-def draw_exogenous(seed: int, nblocks: int, noise: NoiseModel) -> ExogenousSample:
-    """One draw of (ws, wa) from the noise priors."""
-    rng = np.random.default_rng(seed)
-    eps = _unit_draws(rng, nblocks + 1, noise)
-    ws = noise.sigma_s * eps[:nblocks]
-    wa = noise.sigma_a * eps[nblocks]
-    return ExogenousSample(
-        ws=tuple((float(x), float(y)) for x, y in ws),
-        wa=(float(wa[0]), float(wa[1])),
-    )
+def _box_muller(bits: np.ndarray) -> np.ndarray:
+    """Standard normals from uint64 pairs along the last axis."""
+    m = (bits >> np.uint64(12)).astype(np.float64)
+    radius = np.sqrt(-2.0 * np.log((m[..., 0] + 0.5) * _TWO_M52))
+    theta = 2.0 * np.pi * (m[..., 1] * _TWO_M52)
+    return np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=-1)
+
+
+def _support_indices(bits: np.ndarray, k: int) -> np.ndarray:
+    """Indices into a k-point support grid, uniform over 0..k-1."""
+    return ((bits >> np.uint64(12)) * np.uint64(k)) >> np.uint64(52)
 
 
 def draw_exogenous_batch(seeds: np.ndarray, nblocks: int,
                          noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """Stacked draws for many seeds: ws (n, B, 2) and wa (n, 2)."""
-    n = len(seeds)
-    eps = np.empty((n, nblocks + 1, 2))
-    for i, s in enumerate(seeds):
-        rng = np.random.default_rng(int(s))
-        eps[i] = _unit_draws(rng, nblocks + 1, noise)
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    bits = _splitmix64_stream(seeds, 2 * (nblocks + 1)).reshape(len(seeds), nblocks + 1, 2)
+    if noise.discrete:
+        eps = noise.support_grid()[_support_indices(bits, noise.support_points)]
+    else:
+        eps = _box_muller(bits)
     ws = noise.sigma_s * eps[:, :nblocks, :]
     wa = noise.sigma_a * eps[:, nblocks, :]
     return ws, wa
+
+
+def draw_exogenous(seed: int, nblocks: int, noise: NoiseModel) -> ExogenousSample:
+    """One draw of (ws, wa) from the noise priors: the n=1 batch, with the
+    seed taken mod 2^64."""
+    ws, wa = draw_exogenous_batch(np.array([seed & _MASK64], dtype=np.uint64),
+                                  nblocks, noise)
+    return ExogenousSample(ws=tuple(map(tuple, ws[0].tolist())),
+                           wa=tuple(wa[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +489,7 @@ def trace_to_dict(trace: EpisodeTrace) -> dict:
         "belief": tower_to_dict(trace.belief),
         "action": action_to_dict(trace.action),
         "outcome": trace.outcome,
-        "noise": {"sigma_s": trace.noise.sigma_s, "sigma_a": trace.noise.sigma_a},
+        "noise": _noise_to_dict(trace.noise),
         "ground_truth": None,
     }
     if trace.ground_truth is not None:
@@ -483,13 +512,7 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
         raise SchemaError("trace: scenario_id must be a string")
     if not isinstance(doc["outcome"], bool):
         raise SchemaError("trace: outcome must be a boolean")
-    noise_obj = doc["noise"]
-    _check_keys(noise_obj, ("sigma_s", "sigma_a"), where="trace.noise")
-    try:
-        noise = NoiseModel(_number(noise_obj, "sigma_s", "trace.noise"),
-                           _number(noise_obj, "sigma_a", "trace.noise"))
-    except ValidationError as exc:
-        raise SchemaError(f"trace.noise: {exc}") from exc
+    noise = _noise_from_dict(doc["noise"], "trace.noise")
 
     ground_truth = None
     gt_doc = doc["ground_truth"]

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from causalblocks import PlaceAction, load_trace, sample_episode, save_trace, save_scenario
+from causalblocks import (PlaceAction, load_trace, sample_episode, save_trace, save_scenario,
+                          scenario_to_dict)
 from causalblocks.cli import main
 from causalblocks.scenarios import two_cube_scenario
 
@@ -114,6 +115,25 @@ def test_predict_malformed_scenario(tmp_path, capsys):
     assert "missing fields" in capsys.readouterr().err
 
 
+def test_predict_zero_samples_is_usage_error(noisy_scenario, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--scenario", noisy_scenario, "--action", "null",
+              "--n", "0", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def test_predict_negative_sigma_is_usage_error(tmp_path, capsys):
+    doc = scenario_to_dict(two_cube_scenario(0.02, 0.02))
+    doc["noise"]["sigma_s"] = -0.01
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(doc))
+    code = main(["predict", "--scenario", str(path), "--action", "null",
+                 "--n", "10", "--seed", "1"])
+    assert code == 2
+    assert "sigma" in capsys.readouterr().err
+
+
 # --- heatmap ------------------------------------------------------------------
 
 
@@ -145,6 +165,15 @@ def test_heatmap_zero_grid_is_usage_error(zero_scenario, tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "grid dimensions" in capsys.readouterr().err
+
+
+def test_heatmap_zero_workers_is_usage_error(zero_scenario, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["heatmap", "--scenario", zero_scenario, "--block", "b2",
+              "--grid", "3x3", "--n", "16", "--seed", "3", "--workers", "0",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_heatmap_bad_grid_spec(zero_scenario, tmp_path):

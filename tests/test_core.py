@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,6 +90,17 @@ def test_discrete_support_grid_symmetric_with_zero_midpoint():
     assert np.allclose(grid, -grid[::-1])
 
 
+def test_support_grid_matches_ndtri():
+    from scipy.special import ndtri
+
+    for k in (1, 2, 3, 4, 5, 9, 64, 4096):
+        grid = NoiseModel(1.0, 1.0, support_points=k).support_grid()
+        np.testing.assert_allclose(grid, ndtri((np.arange(k) + 0.5) / k),
+                                   rtol=1e-14, atol=0.0)
+    with pytest.raises(ValidationError):
+        NoiseModel(1.0, 1.0, support_points=4097)
+
+
 def test_heatmap_invariants():
     with pytest.raises(ValidationError):
         StabilityHeatmap(origin=(0, 0), spacing=(0, 0), dims=(2, 1),
@@ -171,3 +185,29 @@ def test_pending_by_id():
     assert scenario.pending_by_id("b2").id == "b2"
     with pytest.raises(KeyError):
         scenario.pending_by_id("nope")
+
+
+def test_discrete_scenario_round_trip(tmp_path):
+    base = two_cube_scenario(0.015, 0.015)
+    scenario = replace(base, noise=NoiseModel(0.015, 0.015, support_points=5))
+    assert scenario_to_dict(scenario)["noise"]["support_points"] == 5
+    path = tmp_path / "s.json"
+    save_scenario(scenario, path)
+    assert load_scenario(path) == scenario
+    assert "support_points" not in scenario_to_dict(base)["noise"]
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "5", None, [5], 0, 4097])
+def test_scenario_rejects_bad_support_points(bad):
+    doc = scenario_to_dict(two_cube_scenario())
+    doc["noise"]["support_points"] = bad
+    with pytest.raises(SchemaError):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize("name", ["two_cubes.json", "two_cubes_noise_free.json"])
+def test_gaussian_scenario_files_round_trip_byte_identical(name, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / name
+    out = tmp_path / name
+    save_scenario(load_scenario(path), out)
+    assert out.read_bytes() == path.read_bytes()

@@ -87,6 +87,22 @@ def test_prediction_reproducible():
     assert a == b
 
 
+@pytest.mark.parametrize("noise", [NoiseModel(0.02, 0.015),
+                                   NoiseModel(0.02, 0.015, support_points=5)])
+def test_prediction_independent_of_chunk_size(noise, monkeypatch):
+    import causalblocks.inference as inference_mod
+
+    sc = two_cube_scenario(0.02, 0.015)
+    action = place_b2(sc, 0.03, -0.01)
+    n = 9000
+    single = predict_stability(sc.tower, action, noise, n, 11)
+    for chunk in (1, 7, 8192):
+        monkeypatch.setattr(inference_mod, "_PREDICT_CHUNK", chunk)
+        est = predict_stability(sc.tower, action, noise, n, 11)
+        assert (est.p, est.stderr) == (single.p, single.stderr)
+    assert 0.0 < single.p < 1.0
+
+
 # --- candidate_grid --------------------------------------------------------------
 
 

@@ -1,6 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import causalblocks
+import causalblocks.scm as scm_mod
 from causalblocks import (
     AbductionFailure,
     EpisodeTrace,
@@ -17,6 +25,7 @@ from causalblocks import (
     abduct,
     counterfactual_outcomes,
     derive_sample_seed,
+    derive_sample_seeds,
     do_sample,
     draw_exogenous,
     is_stable,
@@ -72,6 +81,100 @@ def test_discrete_draws_come_from_support():
         exo = draw_exogenous(seed, 1, noise)
         assert exo.ws[0][0] in values_s and exo.ws[0][1] in values_s
         assert exo.wa[0] in values_a and exo.wa[1] in values_a
+
+
+# --- the draw stream (contract v2) ---------------------------------------------
+
+
+def test_stream_outputs_and_indices_are_frozen():
+    # SplitMix64 seeded at 1234567; the first five outputs are the standard
+    # reference sequence of that generator.
+    bits = scm_mod._splitmix64_stream(np.array([1234567], dtype=np.uint64), 6)
+    assert bits.tolist() == [[6457827717110365317, 3203168211198807973,
+                              9817491932198370423, 4593380528125082431,
+                              16408922859458223821, 7804594928223864054]]
+    assert scm_mod._support_indices(bits, 5).tolist() == [[1, 0, 2, 1, 4, 2]]
+    assert scm_mod._support_indices(bits, 3).tolist() == [[1, 0, 1, 0, 2, 1]]
+
+
+def test_gaussian_draws_are_frozen():
+    # log, sin and cos may round differently on another CPU, hence 4 ulp.
+    ws, wa = draw_exogenous_batch(np.array([1234567], dtype=np.uint64), 2,
+                                  NoiseModel(1.0, 1.0))
+    np.testing.assert_array_max_ulp(
+        ws[0], np.array([[0.6687418474759128, 1.2852914518644598],
+                         [0.007002816605281466, 1.1231185837046667]]), maxulp=4)
+    np.testing.assert_array_max_ulp(
+        wa[0], np.array([-0.42845664947665096, 0.22483357415221164]), maxulp=4)
+
+
+def test_discrete_draws_are_frozen():
+    noise = NoiseModel(1.0, 2.0, support_points=5)
+    grid = noise.support_grid()
+    ws, wa = draw_exogenous_batch(np.array([1234567], dtype=np.uint64), 2, noise)
+    assert np.array_equal(ws[0], grid[[[1, 0], [2, 1]]])
+    assert np.array_equal(wa[0], 2.0 * grid[[4, 2]])
+
+
+def test_stream_matches_scalar_splitmix64():
+    from causalblocks.core import _MASK64, _SM_GAMMA, _splitmix64
+
+    seeds = np.array([0, 1, 2 ** 63, 2 ** 64 - 1, 11259548218042673773], dtype=np.uint64)
+    bits = scm_mod._splitmix64_stream(seeds, 9)
+    for i, s in enumerate(seeds.tolist()):
+        assert bits[i].tolist() == [_splitmix64((s + j * _SM_GAMMA) & _MASK64)
+                                    for j in range(9)]
+
+
+def test_extreme_bit_patterns_give_finite_normals():
+    top = 2 ** 64 - 1
+    bits = np.array([[0, 0], [top, top], [0, top], [top, 0]], dtype=np.uint64)
+    z = scm_mod._box_muller(bits)
+    assert np.all(np.isfinite(z))
+    # m = 0 maps to u1 = 2^-53, the largest radius the stream can produce.
+    assert z[0, 0] == pytest.approx(np.sqrt(106 * np.log(2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(min_value=1, max_value=9000),
+       start=st.integers(min_value=0, max_value=9000),
+       nblocks=st.integers(min_value=0, max_value=4),
+       k=st.sampled_from([None, 1, 3, 5]),
+       master=st.integers(min_value=0, max_value=2 ** 64 - 1))
+def test_batch_slice_equals_slice_of_batch(size, start, nblocks, k, master):
+    noise = NoiseModel(0.02, 0.01, support_points=k)
+    seeds = derive_sample_seeds(master, "slice", start + size)
+    ws_all, wa_all = draw_exogenous_batch(seeds, nblocks, noise)
+    ws, wa = draw_exogenous_batch(seeds[start:], nblocks, noise)
+    assert np.array_equal(ws, ws_all[start:])
+    assert np.array_equal(wa, wa_all[start:])
+    exo = draw_exogenous(int(seeds[start]), nblocks, noise)
+    assert np.array_equal(exo.ws_array(), ws_all[start])
+    assert np.array_equal(exo.wa_array(), wa_all[start])
+
+
+def test_scalar_draw_takes_seed_mod_2_64():
+    noise = NoiseModel(0.02, 0.01)
+    assert draw_exogenous(-1, 2, noise) == draw_exogenous(2 ** 64 - 1, 2, noise)
+    assert draw_exogenous(2 ** 64 + 5, 2, noise) == draw_exogenous(5, 2, noise)
+
+
+def test_draws_do_not_import_scipy():
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import causalblocks\n"
+        "from causalblocks.scm import draw_exogenous_batch\n"
+        "seeds = np.arange(10, dtype=np.uint64)\n"
+        "draw_exogenous_batch(seeds, 2, causalblocks.NoiseModel(0.01, 0.01))\n"
+        "draw_exogenous_batch(seeds, 2, causalblocks.NoiseModel(0.01, 0.01, support_points=5))\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = Path(causalblocks.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # --- sample_episode -----------------------------------------------------------
@@ -442,3 +545,30 @@ def test_byte_identical_trace_files(tmp_path):
     save_trace(sample_episode(sc.tower, place_b2(sc), sc.noise, 4), p1)
     save_trace(sample_episode(sc.tower, place_b2(sc), sc.noise, 4), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_discrete_trace_round_trip(tmp_path):
+    sc = two_cube_scenario(0.015, 0.015)
+    noise = NoiseModel(0.015, 0.015, support_points=5)
+    trace = sample_episode(sc.tower, place_b2(sc, 0.04, 0.0), noise, 5)
+    assert trace_to_dict(trace)["noise"]["support_points"] == 5
+    path = tmp_path / "trace.json"
+    save_trace(trace, path)
+    loaded = load_trace(path)
+    assert loaded == trace
+    assert loaded.noise.support_points == 5
+
+
+def test_gaussian_trace_omits_support_points():
+    sc = two_cube_scenario(0.02, 0.02)
+    trace = sample_episode(sc.tower, place_b2(sc), sc.noise, 0)
+    assert trace_to_dict(trace)["noise"] == {"sigma_s": 0.02, "sigma_a": 0.02}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "5", 0, -3, None])
+def test_trace_rejects_bad_support_points(bad):
+    sc = two_cube_scenario()
+    doc = trace_to_dict(sample_episode(sc.tower, place_b2(sc), sc.noise, 0))
+    doc["noise"]["support_points"] = bad
+    with pytest.raises(SchemaError):
+        trace_from_dict(doc)
