@@ -57,7 +57,6 @@ from .physics import (
     TransitionResult,
     is_stable,
     rect_margin,
-    stack_com,
     transition,
 )
 from .scm import (
@@ -70,7 +69,6 @@ from .scm import (
     SetSensorNoise,
     abduct,
     counterfactual_outcomes,
-    do_sample,
     draw_exogenous,
     load_trace,
     replay_ground_truth,

@@ -5,8 +5,8 @@ through the public functions with the same seed. Scenario files describe
 the robot's current believed tower for predict/heatmap/select and the true
 initial tower for simulate.
 
-Exit codes: 0 success, 2 usage or schema error, 3 abduction failure,
-4 internal invariant violation.
+Exit codes: 0 success, 2 usage or schema error (including a trace that
+cannot be explained), 3 abduction failure, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -162,8 +162,12 @@ def cmd_select(args) -> int:
 
 def cmd_explain(args) -> int:
     trace = load_trace(args.trace)
-    explanations, abduction = explain_with_abduction(trace, trace.noise,
-                                                     args.n, args.seed)
+    try:
+        explanations, abduction = explain_with_abduction(trace, trace.noise,
+                                                         args.n, args.seed)
+    except ValidationError as exc:
+        # the trace came from outside: one it cannot explain is bad input
+        raise UsageError(str(exc)) from exc
     print(f"observed outcome: {'stable' if trace.outcome else 'collapsed'}")
     print(f"abduction: {abduction.accepted}/{abduction.attempts} worlds kept "
           f"(acceptance rate {abduction.acceptance_rate:.4f})")

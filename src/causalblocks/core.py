@@ -510,6 +510,23 @@ def _block_spec_to_dict(spec: BlockSpec) -> dict:
     }
 
 
+def _blocks_from_list(entries: list, where: str) -> tuple[PlacedBlock, ...]:
+    """Placed blocks from a JSON array at path ``where`` (e.g. ``scenario.blocks``)."""
+    placed = []
+    for i, entry in enumerate(entries):
+        bwhere = f"{where}[{i}]"
+        _check_keys(entry, _SPEC_FIELDS + ("center_x", "center_y"), where=bwhere)
+        spec = _block_spec_from_dict({k: entry[k] for k in _SPEC_FIELDS}, bwhere)
+        placed.append(PlacedBlock(spec, _number(entry, "center_x", bwhere),
+                                  _number(entry, "center_y", bwhere)))
+    return tuple(placed)
+
+
+def _blocks_to_list(blocks: Iterable[PlacedBlock]) -> list[dict]:
+    return [{**_block_spec_to_dict(b.spec), "center_x": b.center_x, "center_y": b.center_y}
+            for b in blocks]
+
+
 def _noise_from_dict(obj: dict, where: str) -> NoiseModel:
     _check_keys(obj, ("sigma_s", "sigma_a"), ("support_points",), where=where)
     k = obj.get("support_points")
@@ -541,14 +558,7 @@ def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc["blocks"], list) or not isinstance(doc["pending_blocks"], list):
         raise SchemaError("scenario: blocks and pending_blocks must be arrays")
 
-    placed = []
-    for i, entry in enumerate(doc["blocks"]):
-        where = f"scenario.blocks[{i}]"
-        _check_keys(entry, _SPEC_FIELDS + ("center_x", "center_y"), where=where)
-        spec = _block_spec_from_dict({k: entry[k] for k in _SPEC_FIELDS}, where)
-        placed.append(PlacedBlock(spec, _number(entry, "center_x", where),
-                                  _number(entry, "center_y", where)))
-
+    placed = _blocks_from_list(doc["blocks"], "scenario.blocks")
     pending = tuple(
         _block_spec_from_dict(entry, f"scenario.pending_blocks[{i}]")
         for i, entry in enumerate(doc["pending_blocks"])
@@ -556,7 +566,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     noise = _noise_from_dict(doc["noise"], "scenario.noise")
     try:
-        tower = TowerState(tuple(placed), support_half_extents=support)
+        tower = TowerState(placed, support_half_extents=support)
         tower.validate()
     except ValidationError as exc:
         raise SchemaError(f"scenario: {exc}") from exc
@@ -569,16 +579,10 @@ def parse_scenario(doc: dict) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    blocks = []
-    for b in scenario.tower.blocks:
-        entry = _block_spec_to_dict(b.spec)
-        entry["center_x"] = b.center_x
-        entry["center_y"] = b.center_y
-        blocks.append(entry)
     return {
         "scenario_id": scenario.scenario_id,
         "support_half_extents": list(scenario.tower.support_half_extents),
-        "blocks": blocks,
+        "blocks": _blocks_to_list(scenario.tower.blocks),
         "pending_blocks": [_block_spec_to_dict(s) for s in scenario.pending_blocks],
         "noise": _noise_to_dict(scenario.noise),
     }

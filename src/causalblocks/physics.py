@@ -10,25 +10,24 @@ one for a robot.
 
 This criterion is the reference semantics of the whole package: transition
 outcomes, Monte-Carlo estimates, and counterfactual replays all reduce to
-it. ``is_stable`` and ``transition`` are the readable per-tower forms;
-``stability_mask`` is the same arithmetic vectorized across many candidate
-towers at once (same operations in the same order, so the two paths agree
-bit for bit).
+it, and it is written once, in ``_criterion``, over arrays of ``n`` towers.
+``stability_mask`` and ``outcome_mask`` apply it to many candidate towers at
+once; ``is_stable`` is its n=1 view, which adds a signed clearance per
+interface, and ``transition`` builds the candidate tower and calls
+``is_stable``. The scalar and batched verdicts therefore agree bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import (
     Action,
-    BlockSpec,
     NullAction,
     PlaceAction,
-    PlacedBlock,
     TowerState,
     ValidationError,
 )
@@ -70,20 +69,6 @@ class TransitionResult:
         return None
 
 
-def stack_com(blocks: Sequence[PlacedBlock]) -> tuple[float, float]:
-    """Mass-weighted centroid of the block centers."""
-    if not blocks:
-        raise ValidationError("stack_com of an empty block list")
-    total = 0.0
-    wx = 0.0
-    wy = 0.0
-    for b in blocks:
-        total += b.spec.mass
-        wx += b.spec.mass * b.center_x
-        wy += b.spec.mass * b.center_y
-    return (wx / total, wy / total)
-
-
 def rect_margin(px: float, py: float,
                 rect: tuple[float, float, float, float]) -> float:
     """Signed distance from (px, py) to the boundary of an axis-aligned
@@ -97,52 +82,55 @@ def rect_margin(px: float, py: float,
     return -(outside + inside)
 
 
-def _support_rect(state: TowerState) -> tuple[float, float, float, float]:
-    hx, hy = state.support_half_extents
-    return (-hx, -hy, hx, hy)
+def _criterion(centers: np.ndarray, halves: np.ndarray, masses: np.ndarray,
+               support_half_extents: tuple[float, float]
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stability criterion for ``n`` towers that share specs.
 
+    ``centers`` is (n, B, 2); ``halves`` (B, 2) and ``masses`` (B,) apply to
+    every tower. Returns ``(coms, lo, hi, ok)``: the above-group COM at each
+    interface and the contact rectangle's corners, each (n, B, 2), and the
+    (n, B) per-interface verdict (non-empty contact, COM strictly inside).
+    Above-group COMs are mass-weighted sums accumulated from the top block
+    downward.
+    """
+    n, nb, _ = centers.shape
+    weighted = centers * masses[None, :, None]
+    # cum[:, k] = sum over blocks k..B-1, added top-down.
+    wsum = np.cumsum(weighted[:, ::-1, :], axis=1)[:, ::-1, :]
+    msum = np.cumsum(masses[::-1])[::-1]
+    coms = wsum / msum[None, :, None]
 
-def _intersect(a: tuple[float, float, float, float],
-               b: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
-    return (max(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), min(a[3], b[3]))
+    # The support surface sits below block 0, block k-1 below block k.
+    support = np.broadcast_to(support_half_extents, (n, 1, 2))
+    lower_min = np.concatenate([-support, centers[:, :-1] - halves[:-1]], axis=1)[:, :nb]
+    lower_max = np.concatenate([support, centers[:, :-1] + halves[:-1]], axis=1)[:, :nb]
+
+    upper_min = centers - halves[None, :, :]
+    upper_max = centers + halves[None, :, :]
+
+    lo = np.maximum(lower_min, upper_min)
+    hi = np.minimum(lower_max, upper_max)
+
+    ok = (lo < hi).all(axis=2) & (coms > lo).all(axis=2) & (coms < hi).all(axis=2)
+    return coms, lo, hi, ok
 
 
 def is_stable(state: TowerState) -> StabilityResult:
-    """Check every interface of a tower, bottom to top.
+    """Check every interface of a tower, bottom to top: the n=1 view of the
+    vectorized criterion, with a signed ``rect_margin`` per interface.
 
     An invalid geometry (zero footprint overlap somewhere) comes back as
-    unstable at the offending interface rather than as an error. The COM of
-    each above-group is accumulated from the top block downward; the
-    vectorized path sums in the same order.
+    unstable at the offending interface rather than as an error.
     """
-    blocks = state.blocks
-    n = len(blocks)
-    if n == 0:
-        return StabilityResult(True, ())
-
+    coms, lo, hi, ok = _criterion(state.centers()[None], state.half_extents(),
+                                  state.masses(), state.support_half_extents)
     checks = []
-    stable = True
-    # Mass-weighted partial sums over blocks k..n-1, built top-down.
-    wx = 0.0
-    wy = 0.0
-    m = 0.0
-    coms: list[tuple[float, float]] = [(0.0, 0.0)] * n
-    for k in range(n - 1, -1, -1):
-        b = blocks[k]
-        wx += b.spec.mass * b.center_x
-        wy += b.spec.mass * b.center_y
-        m += b.spec.mass
-        coms[k] = (wx / m, wy / m)
-
-    for k in range(n):
-        below = _support_rect(state) if k == 0 else blocks[k - 1].footprint()
-        contact = _intersect(below, blocks[k].footprint())
-        margin = rect_margin(coms[k][0], coms[k][1], contact)
-        checks.append(InterfaceCheck(k, coms[k], contact, margin))
-        if margin <= 0.0:
-            stable = False
-
-    return StabilityResult(stable, tuple(checks))
+    for k, ((px, py), (min_x, min_y), (max_x, max_y)) in enumerate(
+            zip(coms[0].tolist(), lo[0].tolist(), hi[0].tolist())):
+        rect = (min_x, min_y, max_x, max_y)
+        checks.append(InterfaceCheck(k, (px, py), rect, rect_margin(px, py, rect)))
+    return StabilityResult(bool(ok[0].all()), tuple(checks))
 
 
 def transition(state: TowerState, action: Action, wa: tuple[float, float],
@@ -154,7 +142,10 @@ def transition(state: TowerState, action: Action, wa: tuple[float, float],
     wa``; by default the intended center is the current top center plus the
     action offset, but callers that plan against a different believed state
     pass the intended center explicitly. A placement with zero footprint
-    overlap on the old top block collapses the tower outright.
+    overlap on the old top block collapses the tower outright, and its only
+    check is that top interface; its ``com_above`` is the criterion's group
+    COM of the lone block, ``(m * cx) / m``, which may differ from the
+    block center in the last bit.
     """
     if state.collapsed:
         raise ValidationError("transition from a collapsed state")
@@ -169,25 +160,16 @@ def transition(state: TowerState, action: Action, wa: tuple[float, float],
     if intended_center is None:
         tx, ty = state.top_center()
         intended_center = (tx + action.offset_x, ty + action.offset_y)
-    cx = intended_center[0] + wa[0]
-    cy = intended_center[1] + wa[1]
-
-    new_block = PlacedBlock(action.spec, cx, cy)
-    if state.blocks:
-        contact_base = state.blocks[-1].footprint()
-    else:
-        contact_base = _support_rect(state)
-    contact = _intersect(contact_base, new_block.footprint())
-    if not (contact[2] > contact[0] and contact[3] > contact[1]):
-        s1 = state.appended(action.spec, cx, cy, collapsed=True)
-        check = InterfaceCheck(len(state.blocks), (cx, cy), contact,
-                               rect_margin(cx, cy, contact))
-        return TransitionResult(s1, False, (check,))
-
-    candidate = state.appended(action.spec, cx, cy)
+    candidate = state.appended(action.spec, intended_center[0] + wa[0],
+                               intended_center[1] + wa[1])
     result = is_stable(candidate)
     s1 = candidate if result.stable else replace(candidate, collapsed=True)
-    return TransitionResult(s1, result.stable, result.checks)
+    checks = result.checks
+    min_x, min_y, max_x, max_y = checks[-1].support_polygon
+    if not (max_x > min_x and max_y > min_y):
+        # no contact with the old top: the lower interfaces never bear it
+        checks = checks[-1:]
+    return TransitionResult(s1, result.stable, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -200,47 +182,10 @@ def stability_mask(centers: np.ndarray, halves: np.ndarray, masses: np.ndarray,
     """Stability verdicts for ``n`` towers that share specs but not poses.
 
     ``centers`` is (n, B, 2); ``halves`` (B, 2) and ``masses`` (B,) apply to
-    every tower. Returns an (n,) boolean array. Implements exactly the
-    ``is_stable`` criterion; above-group COMs are accumulated from the top
-    block downward to match the scalar code's float arithmetic.
+    every tower. Returns an (n,) boolean array, the ``is_stable`` verdict of
+    each tower.
     """
-    n, nb, _ = centers.shape
-    if nb == 0:
-        return np.ones(n, dtype=bool)
-
-    weighted = centers * masses[None, :, None]
-    # cum[:, k] = sum over blocks k..B-1, added top-down.
-    wsum = np.cumsum(weighted[:, ::-1, :], axis=1)[:, ::-1, :]
-    msum = np.cumsum(masses[::-1])[::-1]
-    coms = wsum / msum[None, :, None]
-
-    lower_min = np.empty((n, nb, 2))
-    lower_max = np.empty((n, nb, 2))
-    hx, hy = support_half_extents
-    lower_min[:, 0, :] = (-hx, -hy)
-    lower_max[:, 0, :] = (hx, hy)
-    lower_min[:, 1:, :] = centers[:, :-1, :] - halves[None, :-1, :]
-    lower_max[:, 1:, :] = centers[:, :-1, :] + halves[None, :-1, :]
-
-    upper_min = centers - halves[None, :, :]
-    upper_max = centers + halves[None, :, :]
-
-    lo = np.maximum(lower_min, upper_min)
-    hi = np.minimum(lower_max, upper_max)
-
-    ok = (lo < hi).all(axis=2) & (coms > lo).all(axis=2) & (coms < hi).all(axis=2)
-    return ok.all(axis=1)
-
-
-def _composite_arrays(tower: TowerState, extra: Optional[BlockSpec] = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """(halves, masses) for a tower, optionally with one more block on top."""
-    specs = [b.spec for b in tower.blocks]
-    if extra is not None:
-        specs.append(extra)
-    halves = np.array([s.half_extents for s in specs], dtype=float).reshape(len(specs), 2)
-    masses = np.array([s.mass for s in specs], dtype=float)
-    return halves, masses
+    return _criterion(centers, halves, masses, support_half_extents)[3].all(axis=1)
 
 
 def outcome_mask(s0_centers: np.ndarray, belief_top: np.ndarray, action: Action,
@@ -252,8 +197,9 @@ def outcome_mask(s0_centers: np.ndarray, belief_top: np.ndarray, action: Action,
     from (the support origin for an empty tower). For a Place action the
     new block lands at ``belief_top + offset + wa``; Null ignores both.
     """
+    halves = base.half_extents()
+    masses = base.masses()
     if isinstance(action, NullAction):
-        halves, masses = _composite_arrays(base)
         return stability_mask(s0_centers, halves, masses, base.support_half_extents)
 
     if not isinstance(action, PlaceAction):
@@ -263,7 +209,6 @@ def outcome_mask(s0_centers: np.ndarray, belief_top: np.ndarray, action: Action,
     intended = belief_top + np.array([action.offset_x, action.offset_y])
     new_centers = intended + wa
     centers = np.concatenate([s0_centers, new_centers.reshape(n, 1, 2)], axis=1)
-    halves, masses = _composite_arrays(base, extra=action.spec)
+    halves = np.concatenate([halves, [action.spec.half_extents]])
+    masses = np.append(masses, action.spec.mass)
     return stability_mask(centers, halves, masses, base.support_half_extents)
-
-

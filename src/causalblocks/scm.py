@@ -11,13 +11,13 @@ The generative story for one episode:
 
 Sensor noise matters because the agent aims relative to where it believes
 the top block is, while the block lands in the true world. Interventional
-queries (``do_sample``) condition on the belief and invert it: a
-hypothesized true state is ``belief - ws``. Counterfactual queries condition
-a recorded episode on its observation and outcome: abduction keeps the
-noise draws that replay to the observed outcome, anchoring the replayed
-belief at ``z0`` exactly (equivalently, sampling the true state's posterior
-under a flat prior). ``counterfactual_outcomes`` then replays those worlds
-with one variable forced.
+queries (``inference.predict_stability``) condition on the belief and
+invert it: a hypothesized true state is ``belief - ws``. Counterfactual
+queries condition a recorded episode on its observation and outcome:
+abduction keeps the noise draws that replay to the observed outcome,
+anchoring the replayed belief at ``z0`` exactly (equivalently, sampling
+the true state's posterior under a flat prior). ``counterfactual_outcomes``
+then replays those worlds with one variable forced.
 
 Every draw comes from a per-sample seed (see ``core.derive_sample_seed``).
 A seed keys a counter-based SplitMix64 stream, and all samples of a batch
@@ -42,7 +42,6 @@ from .core import (
     NoiseModel,
     NullAction,
     PlaceAction,
-    PlacedBlock,
     SchemaError,
     TowerState,
     ValidationError,
@@ -51,6 +50,8 @@ from .core import (
     _SM_GAMMA,
     _block_spec_from_dict,
     _block_spec_to_dict,
+    _blocks_from_list,
+    _blocks_to_list,
     _check_keys,
     _noise_from_dict,
     _noise_to_dict,
@@ -141,7 +142,7 @@ def draw_exogenous(seed: int, nblocks: int, noise: NoiseModel) -> ExogenousSampl
 
 
 # ---------------------------------------------------------------------------
-# Forward sampling and interventional draws
+# Forward sampling
 # ---------------------------------------------------------------------------
 
 
@@ -178,23 +179,6 @@ def sample_episode(s0: TowerState, action: Action, noise: NoiseModel, seed: int,
         noise=noise,
         ground_truth=GroundTruth(s0=s0, exo=exo, s1=result.s1),
     )
-
-
-def do_sample(belief: TowerState, action: Action, noise: NoiseModel, seed: int) -> bool:
-    """One Monte-Carlo draw of P(stable | belief, do(action)).
-
-    Inverts the belief equation: the hypothesized true state puts each block
-    at ``belief - ws``. The action is set exogenously (no decision policy in
-    the loop), and for Null the actuation draw is consumed but unused.
-    """
-    exo = draw_exogenous(seed, len(belief), noise)
-    if len(belief):
-        s0h = belief.with_centers(belief.centers() - exo.ws_array())
-    else:
-        s0h = belief
-    result = transition(s0h, action, exo.wa,
-                        intended_center=_intended_center(belief, action))
-    return result.outcome
 
 
 def replay_ground_truth(trace: EpisodeTrace) -> TransitionResult:
@@ -420,16 +404,10 @@ def counterfactual_outcomes(trace: EpisodeTrace, target: InterventionTarget,
 
 
 def tower_to_dict(tower: TowerState) -> dict:
-    blocks = []
-    for b in tower.blocks:
-        entry = _block_spec_to_dict(b.spec)
-        entry["center_x"] = b.center_x
-        entry["center_y"] = b.center_y
-        blocks.append(entry)
     return {
         "support_half_extents": list(tower.support_half_extents),
         "collapsed": tower.collapsed,
-        "blocks": blocks,
+        "blocks": _blocks_to_list(tower.blocks),
     }
 
 
@@ -439,16 +417,9 @@ def tower_from_dict(doc: dict, where: str = "tower") -> TowerState:
         raise SchemaError(f"{where}: collapsed must be a boolean")
     if not isinstance(doc["blocks"], list):
         raise SchemaError(f"{where}: blocks must be an array")
-    placed = []
-    spec_fields = ("id", "width", "depth", "height", "mass", "color")
-    for i, entry in enumerate(doc["blocks"]):
-        bwhere = f"{where}.blocks[{i}]"
-        _check_keys(entry, spec_fields + ("center_x", "center_y"), where=bwhere)
-        spec = _block_spec_from_dict({k: entry[k] for k in spec_fields}, bwhere)
-        placed.append(PlacedBlock(spec, _number(entry, "center_x", bwhere),
-                                  _number(entry, "center_y", bwhere)))
+    placed = _blocks_from_list(doc["blocks"], f"{where}.blocks")
     try:
-        return TowerState(tuple(placed), support_half_extents=_pair(doc, "support_half_extents", where),
+        return TowerState(placed, support_half_extents=_pair(doc, "support_half_extents", where),
                           collapsed=doc["collapsed"])
     except ValidationError as exc:
         raise SchemaError(f"{where}: {exc}") from exc

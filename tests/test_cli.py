@@ -260,6 +260,25 @@ def test_explain_deterministic_reports(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_explain_collapsed_observation_is_usage_error(tmp_path, capsys):
+    path, trace = make_failure_trace(tmp_path)
+    save_trace(replace(trace, z0=replace(trace.z0, collapsed=True)), path)
+    code = main(["explain", "--trace", str(path), "--n", "10", "--seed", "1"])
+    assert code == 2
+    assert "error: cannot abduct from a collapsed observation" in capsys.readouterr().err
+
+
+def test_explain_trace_without_candidates_is_usage_error(zero_scenario, tmp_path, capsys):
+    # zero noise and a centered placement: every candidate equals its factual value
+    path = tmp_path / "trace.json"
+    assert main(["simulate", "--scenario", zero_scenario, "--action", "place b2 0 0",
+                 "--seed", "1", "--out", str(path)]) == 0
+    code = main(["explain", "--trace", str(path), "--n", "10", "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: every candidate equals its factual value")
+
+
 def test_explain_missing_trace_file(tmp_path):
     code = main(["explain", "--trace", str(tmp_path / "none.json"),
                  "--n", "10", "--seed", "1"])

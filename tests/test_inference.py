@@ -10,12 +10,13 @@ from causalblocks import (
     ValidationError,
     candidate_grid,
     derive_sample_seed,
-    do_sample,
+    draw_exogenous,
     heatmap_to_csv,
     heatmap_to_pgm,
     predict_stability,
     select_action,
     stability_heatmap,
+    transition,
 )
 from causalblocks.scenarios import cube, column, two_cube_scenario
 
@@ -41,6 +42,16 @@ def test_zero_noise_null_prediction_is_exact():
     est = predict_stability(leaning, NullAction(), ZERO, 100, 1)
     assert est.p == 0.0
     assert est.stderr == 0.0
+
+
+def do_sample(belief, action, noise, seed):
+    """One do-query outcome of a Place action: the hypothesized true state
+    is belief - ws, and the placement aims from the believed top block."""
+    exo = draw_exogenous(seed, len(belief), noise)
+    s0h = belief.with_centers(belief.centers() - exo.ws_array())
+    bx, by = belief.top_center()
+    return transition(s0h, action, exo.wa,
+                      intended_center=(bx + action.offset_x, by + action.offset_y)).outcome
 
 
 def test_prediction_matches_per_sample_draws_exactly():

@@ -12,11 +12,10 @@ from causalblocks import (
     ValidationError,
     is_stable,
     rect_margin,
-    stack_com,
     transition,
 )
 from causalblocks.physics import outcome_mask, stability_mask
-from causalblocks.scenarios import cube, column
+from causalblocks.scenarios import cube, column, random_scenario
 
 from oracles import oracle_stable, tower_tuples
 
@@ -25,32 +24,6 @@ def blocks_at(xs, size=0.1, masses=None):
     specs = [cube(f"b{i}", size=size, mass=(masses[i] if masses else 0.25))
              for i in range(len(xs))]
     return column(specs, [(x, 0.0) for x in xs])
-
-
-# --- stack_com ---------------------------------------------------------------
-
-
-def test_stack_com_single_block():
-    tower = blocks_at([0.03])
-    assert stack_com(tower.blocks) == (0.03, 0.0)
-
-
-def test_stack_com_equal_masses():
-    tower = blocks_at([0.0, 0.04])
-    x, y = stack_com(tower.blocks)
-    assert x == pytest.approx(0.02)
-    assert y == 0.0
-
-
-def test_stack_com_weighted():
-    tower = blocks_at([0.0, 0.04], masses=[1.0, 3.0])
-    x, _ = stack_com(tower.blocks)
-    assert x == pytest.approx(0.03)
-
-
-def test_stack_com_empty_raises():
-    with pytest.raises(ValidationError):
-        stack_com([])
 
 
 # --- rect_margin --------------------------------------------------------------
@@ -120,6 +93,8 @@ def test_zero_overlap_pair_reports_unstable_not_error():
 
 def test_empty_tower_is_stable():
     assert is_stable(TowerState(blocks=())).stable
+    assert stability_mask(np.zeros((3, 0, 2)), np.zeros((0, 2)), np.zeros(0),
+                          (0.5, 0.5)).tolist() == [True] * 3
 
 
 def test_margin_checks_report_every_interface():
@@ -165,6 +140,31 @@ def test_is_stable_matches_brute_force(xs):
     tower = blocks_at(xs)
     assert is_stable(tower).stable == oracle_stable(
         tower_tuples(tower), tower.support_half_extents)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), data=st.data())
+def test_criterion_matches_oracle_on_random_towers(seed, data):
+    tower = random_scenario(seed, max_blocks=6).tower
+    jitter = st.floats(min_value=-0.02, max_value=0.02,
+                       allow_nan=False, allow_infinity=False)
+    poses = st.lists(st.tuples(jitter, jitter), min_size=len(tower), max_size=len(tower))
+    batch = tower.centers() + np.array([data.draw(poses) for _ in range(3)])
+    mask = stability_mask(batch, tower.half_extents(), tower.masses(),
+                          tower.support_half_extents)
+    for centers, verdict in zip(batch, mask):
+        jittered = tower.with_centers(centers)
+        blocks = tower_tuples(jittered)
+        result = is_stable(jittered)
+        assert result.stable == bool(verdict) == oracle_stable(
+            blocks, jittered.support_half_extents)
+        assert result.stable == all(c.margin > 0.0 for c in result.checks)
+        for k, check in enumerate(result.checks):
+            group = blocks[k:]
+            mass = math.fsum(b[0] for b in group)
+            com = (math.fsum(b[0] * b[1] for b in group) / mass,
+                   math.fsum(b[0] * b[2] for b in group) / mass)
+            assert check.com_above == pytest.approx(com, rel=0.0, abs=1e-15)
 
 
 # --- transition ---------------------------------------------------------------

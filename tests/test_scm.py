@@ -26,10 +26,10 @@ from causalblocks import (
     counterfactual_outcomes,
     derive_sample_seed,
     derive_sample_seeds,
-    do_sample,
     draw_exogenous,
     is_stable,
     load_trace,
+    predict_stability,
     replay_ground_truth,
     sample_episode,
     save_trace,
@@ -222,46 +222,55 @@ def test_replay_requires_ground_truth():
         replay_ground_truth(external)
 
 
-# --- do_sample ------------------------------------------------------------------
+# --- single-sample do-queries ---------------------------------------------------
+#
+# A do-query sample inverts the belief (hypothesized true state = belief - ws)
+# and replays the forced action. predict_stability with one sample is that
+# draw: its sample 0 uses the seed derive_sample_seed(seed, "predict", 0).
+
+
+def do_outcome(belief, action, noise, seed):
+    return predict_stability(belief, action, noise, 1, seed).p == 1.0
 
 
 def test_do_sample_zero_noise_equals_transition():
     sc = two_cube_scenario(0.0, 0.0)
     for dx in (0.0, 0.03, 0.06):
         action = place_b2(sc, dx, 0.0)
-        assert do_sample(sc.tower, action, ZERO, 5) == transition(
+        assert do_outcome(sc.tower, action, ZERO, 5) == transition(
             sc.tower, action, (0.0, 0.0)).outcome
 
 
 def test_do_sample_null_ignores_actuation_noise():
     sc = two_cube_scenario(0.0, 5.0)  # absurd actuation noise, zero sensing
-    assert do_sample(sc.tower, NullAction(), sc.noise, 11) == is_stable(sc.tower).stable
+    assert do_outcome(sc.tower, NullAction(), sc.noise, 11) == is_stable(sc.tower).stable
 
 
 def test_do_sample_null_uses_hypothesized_state():
     # with sensing noise, a Null query re-checks stability of belief - ws
     noise = NoiseModel(0.03, 0.0)
     tower = column([cube("a"), cube("b")], [(0.0, 0.0), (0.045, 0.0)])
-    seed = 21
-    exo = draw_exogenous(seed, 2, noise)
-    s0h = tower.with_centers(tower.centers() - exo.ws_array())
-    assert do_sample(tower, NullAction(), noise, seed) == is_stable(s0h).stable
+    outcomes = set()
+    for seed in range(20):
+        exo = draw_exogenous(derive_sample_seed(seed, "predict", 0), 2, noise)
+        s0h = tower.with_centers(tower.centers() - exo.ws_array())
+        outcome = do_outcome(tower, NullAction(), noise, seed)
+        assert outcome == is_stable(s0h).stable
+        outcomes.add(outcome)
+    assert outcomes == {True, False}
 
 
 def test_do_sample_deterministic_per_seed():
     sc = two_cube_scenario(0.02, 0.02)
-    outs = [do_sample(sc.tower, place_b2(sc), sc.noise, 42) for _ in range(5)]
+    outs = [do_outcome(sc.tower, place_b2(sc), sc.noise, 42) for _ in range(5)]
     assert len(set(outs)) == 1
 
 
 def test_do_sample_mean_approaches_closed_form():
+    # sample i draws from derive_sample_seed(4, "mc", i)
     sc = two_cube_scenario(0.02, 0.02)
     n = 20_000
-    hits = sum(
-        do_sample(sc.tower, place_b2(sc), sc.noise, derive_sample_seed(4, "mc", i))
-        for i in range(n)
-    )
-    p_hat = hits / n
+    p_hat = predict_stability(sc.tower, place_b2(sc), sc.noise, n, 4, stream_label="mc").p
     p = two_cube_place_probability(0.0, 0.0, 0.05, 0.02, 0.02)
     assert abs(p_hat - p) <= 3.0 * np.sqrt(p * (1 - p) / n)
 
@@ -273,8 +282,8 @@ def test_exchangeability_zero_sensor_noise():
     sc = two_cube_scenario()
     action = place_b2(sc, 0.02, 0.0)
     for seed in range(50):
-        assert do_sample(sc.tower, action, noise, seed) == sample_episode(
-            sc.tower, action, noise, seed).outcome
+        assert do_outcome(sc.tower, action, noise, seed) == sample_episode(
+            sc.tower, action, noise, derive_sample_seed(seed, "predict", 0)).outcome
 
 
 # --- abduct ---------------------------------------------------------------------
