@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -73,6 +74,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError("must be a number, got nan")
     return value
 
 
@@ -218,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--scenario", required=True)
     sel.add_argument("--block", required=True)
     sel.add_argument("--grid", default="9x9")
-    sel.add_argument("--threshold", type=float, default=0.8)
+    sel.add_argument("--threshold", type=_threshold, default=0.8)
     sel.add_argument("--n", type=_positive_int, default=2000)
     sel.add_argument("--seed", required=True, type=int)
     sel.add_argument("--out", default=None, help="optional heatmap CSV dump")

@@ -57,6 +57,12 @@ _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
 
+# Worlds per pass of the vectorized draws and stability kernel. Each pass
+# allocates a dozen or so (2, B, block) temporaries; at this size they stay
+# in cache and are reused from the heap, and memory stays bounded however
+# many worlds a batch holds. Results do not depend on it.
+_WORLD_BLOCK = 2048
+
 
 def _splitmix64(x: int) -> int:
     x = (x + _SM_GAMMA) & _MASK64

@@ -15,7 +15,6 @@ worker processes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -60,7 +59,8 @@ def predict_stability(belief: TowerState, action: Action, noise: NoiseModel,
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    centers = belief.centers()[None, :, :]
+    # Fortran order keeps ``centers - ws`` in the draws' axis-major layout.
+    centers = np.asfortranarray(belief.centers())[None, :, :]
     top = np.array(belief.top_center())
     hits = 0
     for start in range(0, n_samples, _PREDICT_CHUNK):
@@ -98,9 +98,9 @@ def candidate_grid(belief: TowerState, new_block: BlockSpec, nx: int, ny: int
     else:
         extent_x = 2.0 * belief.support_half_extents[0]
         extent_y = 2.0 * belief.support_half_extents[1]
-    xs = _axis_offsets(nx, extent_x)
-    ys = _axis_offsets(ny, extent_y)
-    return [(float(x), float(y)) for x in xs for y in ys]
+    xs = _axis_offsets(nx, extent_x).tolist()
+    ys = _axis_offsets(ny, extent_y).tolist()
+    return [(x, y) for x in xs for y in ys]
 
 
 def _heatmap_cell(args) -> tuple[int, float, float]:
@@ -154,6 +154,10 @@ def stability_heatmap(belief: TowerState, new_block: BlockSpec,
     if workers == 1:
         results = map(_heatmap_cell, tasks)
     else:
+        # Imported here: the pool pulls in multiprocessing (about 40 modules
+        # and 1.4 MB), which callers that never ask for workers do not need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_heatmap_cell, tasks))
     for index, p, se in results:
@@ -214,6 +218,9 @@ def select_action(heatmap: StabilityHeatmap, belief: TowerState,
     """
     if subset_rule not in ("centroid", "geometric-mean"):
         raise ValidationError(f"unknown subset_rule {subset_rule!r}")
+    if math.isnan(threshold):
+        # p >= nan is false for every cell: it would silently take the fallback
+        raise ValidationError("threshold must be a number, got nan")
     admissible = [i for i, p in enumerate(heatmap.probabilities) if p >= threshold]
     if admissible:
         xs = [heatmap.offsets[i][0] for i in admissible]

@@ -48,6 +48,7 @@ from .core import (
     derive_sample_seeds,
     _MASK64,
     _SM_GAMMA,
+    _WORLD_BLOCK,
     _block_spec_from_dict,
     _block_spec_to_dict,
     _blocks_from_list,
@@ -92,25 +93,33 @@ class AbductionFailure(RuntimeError):
 #             u2 = m_y * 2^-52, giving sqrt(-2 ln u1) * (cos, sin)(2 pi u2).
 #   Discrete: each component indexes the support grid at (m * k) >> 52.
 #
-# A batch is the same per-seed computation done as one array operation, so
-# a batched estimate equals the sample-by-sample one bit for bit.
+# A batch is the same per-seed computation done as array operations, a block
+# of seeds at a time, so a batched estimate equals the sample-by-sample one
+# bit for bit. The batch is stored axis-major, (2, B+1, n): x outputs, then y.
 
 _TWO_M52 = 2.0 ** -52
 
 
 def _splitmix64_stream(seeds: np.ndarray, count: int) -> np.ndarray:
-    """(n, count) uint64 array: out[i, j] is output j of the stream keyed by seeds[i]."""
+    """(n, count) uint64 array: out[i, j] is output j of the stream keyed by
+    seeds[i]. It is the transposed view of a C-order (count, n) array, so
+    each output index j is one contiguous row over the seeds."""
     with np.errstate(over="ignore"):
         steps = np.arange(count, dtype=np.uint64) * np.uint64(_SM_GAMMA)
-        return _splitmix64_array(seeds[:, None] + steps)
+        return _splitmix64_array(steps[:, None] + seeds[None, :]).T
 
 
-def _box_muller(bits: np.ndarray) -> np.ndarray:
-    """Standard normals from uint64 pairs along the last axis."""
+def _box_muller(bits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Standard normals from uint64 pairs along the last axis, written into
+    ``out`` (the shape of ``bits``) when it is given."""
     m = (bits >> np.uint64(12)).astype(np.float64)
     radius = np.sqrt(-2.0 * np.log((m[..., 0] + 0.5) * _TWO_M52))
     theta = 2.0 * np.pi * (m[..., 1] * _TWO_M52)
-    return np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=-1)
+    if out is None:
+        out = np.empty(bits.shape)
+    np.multiply(radius, np.cos(theta), out=out[..., 0])
+    np.multiply(radius, np.sin(theta), out=out[..., 1])
+    return out
 
 
 def _support_indices(bits: np.ndarray, k: int) -> np.ndarray:
@@ -120,16 +129,29 @@ def _support_indices(bits: np.ndarray, k: int) -> np.ndarray:
 
 def draw_exogenous_batch(seeds: np.ndarray, nblocks: int,
                          noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked draws for many seeds: ws (n, B, 2) and wa (n, 2)."""
+    """Stacked draws for many seeds: ws (n, B, 2) and wa (n, 2).
+
+    Both are transposed views of one axis-major (2, B+1, n) array (x plane,
+    then y plane, the seeds contiguous along the last axis), the layout the
+    physics kernel works in.
+    """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    bits = _splitmix64_stream(seeds, 2 * (nblocks + 1)).reshape(len(seeds), nblocks + 1, 2)
-    if noise.discrete:
-        eps = noise.support_grid()[_support_indices(bits, noise.support_points)]
-    else:
-        eps = _box_muller(bits)
-    ws = noise.sigma_s * eps[:, :nblocks, :]
-    wa = noise.sigma_a * eps[:, nblocks, :]
-    return ws, wa
+    n = len(seeds)
+    grid = noise.support_grid() if noise.discrete else None
+    eps = np.empty((2, nblocks + 1, n))
+    for start in range(0, n, _WORLD_BLOCK):
+        stop = min(start + _WORLD_BLOCK, n)
+        # (m, B+1, 2) view of the (2(B+1), m) stream: row r pairs outputs 2r, 2r+1.
+        bits = _splitmix64_stream(seeds[start:stop], 2 * (nblocks + 1)).reshape(
+            stop - start, nblocks + 1, 2)
+        out = eps[:, :, start:stop].transpose(2, 1, 0)
+        if grid is None:
+            _box_muller(bits, out=out)
+        else:
+            out[...] = grid[_support_indices(bits, noise.support_points)]
+    eps[:, :nblocks] *= noise.sigma_s
+    eps[:, nblocks] *= noise.sigma_a
+    return eps[:, :nblocks].transpose(2, 1, 0), eps[:, nblocks].T
 
 
 def draw_exogenous(seed: int, nblocks: int, noise: NoiseModel) -> ExogenousSample:
@@ -203,9 +225,10 @@ def replay_ground_truth(trace: EpisodeTrace) -> TransitionResult:
 class AbductionResult:
     """Exogenous draws consistent with an observed episode.
 
-    ``ws_accepted`` is (N, B, 2) and ``wa_accepted`` (N, 2); every row
-    replays to the observed outcome with the trace's action. The hypothesized
-    true state of row i puts each block at ``z0 - ws_accepted[i]``.
+    ``ws_accepted`` is (N, B, 2) and ``wa_accepted`` (N, 2), transposed
+    views of axis-major arrays like the draws; every row replays to the
+    observed outcome with the trace's action. The hypothesized true state
+    of row i puts each block at ``z0 - ws_accepted[i]``.
     """
 
     ws_accepted: np.ndarray
@@ -261,9 +284,11 @@ def abduct(trace: EpisodeTrace, noise: NoiseModel, n_requested: int, seed: int,
 
     z0 = trace.z0
     nb = len(z0)
-    z0_centers = z0.centers()
+    # Fortran order keeps ``z0_centers - ws`` in the draws' axis-major layout.
+    z0_centers = np.asfortranarray(z0.centers())
     belief_top = np.array(z0.top_center())
 
+    # Accepted draws are gathered as (2, B, k) and (2, k) planes.
     ws_chunks: list[np.ndarray] = []
     wa_chunks: list[np.ndarray] = []
     attempts = 0
@@ -271,32 +296,38 @@ def abduct(trace: EpisodeTrace, noise: NoiseModel, n_requested: int, seed: int,
     while attempts < budget and accepted < n_requested:
         m = min(_ABDUCT_CHUNK, budget - attempts)
         seeds = derive_sample_seeds(seed, "abduct", m, start=attempts)
-        ws, wa = draw_exogenous_batch(seeds, nb, noise)
-        s0h = z0_centers[None, :, :] - ws
-        btop = np.broadcast_to(belief_top, (m, 2))
-        outcomes = outcome_mask(s0h, btop, trace.action, wa, base=z0)
-        hits = np.flatnonzero(outcomes == trace.outcome)
-        if accepted + len(hits) >= n_requested:
-            need = n_requested - accepted
+        # The chunk is drawn and scored a block of worlds at a time, so the
+        # working set does not grow with it; only the hits are kept.
+        hits, ws_hits, wa_hits = [], [], []
+        for start in range(0, m, _WORLD_BLOCK):
+            ws, wa = draw_exogenous_batch(seeds[start:start + _WORLD_BLOCK], nb, noise)
+            outcomes = outcome_mask(z0_centers[None, :, :] - ws,
+                                    np.broadcast_to(belief_top, wa.shape),
+                                    trace.action, wa, base=z0)
+            block_hits = np.flatnonzero(outcomes == trace.outcome)
+            hits.append(start + block_hits)
+            ws_hits.append(np.take(ws.transpose(2, 1, 0), block_hits, axis=2))
+            wa_hits.append(np.take(wa.T, block_hits, axis=1))
+        hits = np.concatenate(hits)
+        keep = len(hits)
+        if accepted + keep >= n_requested:
+            keep = n_requested - accepted
             # Count only the attempts up to and including the one that
             # filled the request; keeps results batch-size independent.
-            attempts += int(hits[need - 1]) + 1
-            hits = hits[:need]
+            attempts += int(hits[keep - 1]) + 1
         else:
             attempts += m
-        if len(hits):
-            ws_chunks.append(ws[hits])
-            wa_chunks.append(wa[hits])
-            accepted += len(hits)
+        if keep:
+            ws_chunks.append(np.concatenate(ws_hits, axis=2)[:, :, :keep])
+            wa_chunks.append(np.concatenate(wa_hits, axis=1)[:, :keep])
+            accepted += keep
 
     if accepted == 0:
         raise AbductionFailure(n_requested, attempts)
 
-    ws_all = np.concatenate(ws_chunks) if ws_chunks else np.empty((0, nb, 2))
-    wa_all = np.concatenate(wa_chunks) if wa_chunks else np.empty((0, 2))
     return AbductionResult(
-        ws_accepted=ws_all,
-        wa_accepted=wa_all,
+        ws_accepted=np.concatenate(ws_chunks, axis=2).transpose(2, 1, 0),
+        wa_accepted=np.concatenate(wa_chunks, axis=1).T,
         acceptance_rate=accepted / attempts,
         requested=n_requested,
         accepted=accepted,
@@ -356,7 +387,7 @@ def counterfactual_outcomes(trace: EpisodeTrace, target: InterventionTarget,
     n = abduction.accepted
     ws = abduction.ws_accepted
     wa = abduction.wa_accepted
-    z0_centers = z0.centers()
+    z0_centers = np.asfortranarray(z0.centers())
 
     action = trace.action
     base = z0

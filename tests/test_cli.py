@@ -206,6 +206,14 @@ def test_select_reports_fallback(zero_scenario, capsys):
     assert "place b2 @" in out
 
 
+def test_select_nan_threshold_is_usage_error(zero_scenario, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--scenario", zero_scenario, "--block", "b2",
+              "--grid", "3x1", "--threshold", "nan", "--n", "16", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--threshold" in capsys.readouterr().err
+
+
 def test_select_optional_heatmap_dump(zero_scenario, tmp_path):
     out = tmp_path / "dump.csv"
     code = main(["select", "--scenario", zero_scenario, "--block", "b2",

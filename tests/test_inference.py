@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalblocks import (
+    BlockSpec,
     NoiseModel,
     NullAction,
     PlaceAction,
@@ -201,6 +205,46 @@ def test_heatmap_mirror_symmetry_under_noise():
         assert np.all(np.abs(pg - mirrored) <= tol)
 
 
+def _same_proportion(p1, p2, n):
+    """Two independent n-draw proportions estimate one probability: within
+    6 pooled standard errors, an exact match when both are 0 or 1."""
+    pooled = (p1 + p2) / 2.0
+    var = pooled * (1.0 - pooled) * 2.0 / n
+    if var <= 0.0:
+        return p1 == p2
+    return abs(p1 - p2) <= 6.0 * math.sqrt(var)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), k=st.sampled_from([None, 3, 5]))
+def test_heatmap_of_mirror_symmetric_tower_is_mirror_symmetric(data, k):
+    # Every block centered on x = 0, at any y: the tower, the noise and the
+    # grid are symmetric under x -> -x, so mirrored cells estimate the same
+    # probability, each from its own stream.
+    length = st.floats(min_value=0.06, max_value=0.14)
+    nblocks = data.draw(st.integers(min_value=1, max_value=4))
+    specs = [BlockSpec(f"b{i}", data.draw(length), data.draw(length), 0.05,
+                       data.draw(st.floats(min_value=0.1, max_value=0.5)))
+             for i in range(nblocks + 1)]
+    ys = [0.0]
+    for lower, upper in zip(specs, specs[1:nblocks]):
+        lim = 0.4 * min(lower.depth, upper.depth)
+        ys.append(ys[-1] + data.draw(st.floats(min_value=-lim, max_value=lim)))
+    tower = column(specs[:nblocks], [(0.0, y) for y in ys])
+    sigma = st.floats(min_value=0.002, max_value=0.03)
+    noise = NoiseModel(data.draw(sigma), data.draw(sigma), support_points=k)
+    nx = ny = 5
+    n = 400
+    grid = candidate_grid(tower, specs[-1], nx, ny)
+    hm = stability_heatmap(tower, specs[-1], grid, noise, n,
+                           data.draw(st.integers(min_value=0, max_value=2 ** 63)),
+                           dims=(nx, ny))
+    pg = hm.prob_grid()
+    for ix in range(nx // 2):
+        for iy in range(ny):
+            assert _same_proportion(pg[ix, iy], pg[nx - 1 - ix, iy], n), (ix, iy)
+
+
 def test_heatmap_center_cell_beats_edges():
     sc = two_cube_scenario(0.02, 0.02)
     block = sc.pending_blocks[0]
@@ -353,6 +397,13 @@ def test_unknown_subset_rule_rejected():
     with pytest.raises(ValidationError):
         select_action(hm, sc.tower, sc.pending_blocks[0], ZERO, 0.5, 10, 1,
                       subset_rule="median")
+
+
+def test_nan_threshold_rejected():
+    hm = fixture_heatmap([0.2, 0.7], [(0.0, 0.0), (0.0125, 0.0)], dims=(2, 1))
+    sc = two_cube_scenario(0.0, 0.0)
+    with pytest.raises(ValidationError, match="nan"):
+        select_action(hm, sc.tower, sc.pending_blocks[0], ZERO, float("nan"), 10, 1)
 
 
 # --- exports -----------------------------------------------------------------------

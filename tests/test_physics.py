@@ -263,3 +263,63 @@ def test_outcome_mask_matches_transition_for_place():
                            np.array(tower.top_center())[None, :],
                            action, wa[None, :], base=tower)
         assert bool(got[0]) == expected
+
+
+def _layouts(centers):
+    """The same (n, B, 2) poses as C order, as a transposed view of C-order
+    (2, B, n) planes, and in Fortran order."""
+    planes = np.ascontiguousarray(centers.transpose(2, 1, 0))
+    return {"c": np.ascontiguousarray(centers),
+            "axis-major view": planes.transpose(2, 1, 0),
+            "fortran": np.asfortranarray(centers)}
+
+
+@pytest.mark.parametrize("seed", [3, 11, 27])
+def test_kernel_verdicts_do_not_depend_on_layout_or_batching(seed):
+    sc = random_scenario(seed, max_blocks=6)
+    tower = sc.tower.with_centers(np.zeros((len(sc.tower), 2)))
+    rng = np.random.default_rng(seed)
+    n = 301
+    centers = tower.centers() + rng.normal(0.0, 0.02, (n, len(tower), 2))
+    tops = np.array(tower.top_center()) + rng.normal(0.0, 0.01, (n, 2))
+    wa = rng.normal(0.0, 0.01, (n, 2))
+    place = PlaceAction(sc.pending_blocks[0], 0.01, -0.005)
+    args = (tower.half_extents(), tower.masses(), tower.support_half_extents)
+
+    expected = np.array([is_stable(tower.with_centers(c)).stable for c in centers])
+    assert 0 < expected.sum() < n  # both verdicts occur
+    expected_place = np.array([
+        transition(tower.with_centers(c), place, tuple(w), intended_center=(
+            t[0] + place.offset_x, t[1] + place.offset_y)).outcome
+        for c, t, w in zip(centers, tops, wa)])
+    assert 0 < expected_place.sum() < n
+    for name, layout in _layouts(centers).items():
+        assert np.array_equal(stability_mask(layout, *args), expected), name
+        assert np.array_equal(outcome_mask(layout, tops, NullAction(), wa, tower),
+                              expected), name
+        for wa_layout in (wa, np.ascontiguousarray(wa.T).T):
+            got = outcome_mask(layout, tops, place, wa_layout, tower)
+            assert np.array_equal(got, expected_place), name
+    for lo, hi in ((0, 1), (1, 64), (64, 300), (300, 301)):
+        assert np.array_equal(stability_mask(centers[lo:hi], *args), expected[lo:hi])
+        assert np.array_equal(outcome_mask(centers[lo:hi], tops[lo:hi], place, wa[lo:hi],
+                                           tower), expected_place[lo:hi])
+
+
+def test_edge_to_edge_contact_is_unstable():
+    # b1 meets b0 edge to edge (contact x from 0.05 to 0.05, lo == hi), and
+    # b2 meets b1 the same way on the other side, so the COM of b1 and b2
+    # lies exactly on that degenerate contact at x = 0.05.
+    tower = blocks_at([0.0, 0.1, 0.0])
+    result = is_stable(tower)
+    assert not result.stable
+    min_x, min_y, max_x, max_y = result.checks[1].support_polygon
+    com_x, com_y = result.checks[1].com_above
+    assert min_x == max_x == com_x == 0.05
+    assert min_y < com_y < max_y
+    # The COM of the top block alone exactly on either edge of its contact.
+    edges = [blocks_at([0.0, 0.05]), blocks_at([0.0, -0.05])]
+    for t in [tower] + edges:
+        assert not is_stable(t).stable
+        assert stability_mask(t.centers()[None], t.half_extents(), t.masses(),
+                              t.support_half_extents).tolist() == [False]

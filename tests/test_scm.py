@@ -153,6 +153,41 @@ def test_batch_slice_equals_slice_of_batch(size, start, nblocks, k, master):
     assert np.array_equal(exo.wa_array(), wa_all[start])
 
 
+def _stacked_reference(seeds, nblocks, noise):
+    """Draw contract v2 written as the (n, B+1, 2) stack-and-slice formula:
+    one row of 2(B+1) stream outputs per seed, rows 0..B-1 sensing, row B
+    actuation."""
+    from causalblocks.core import _SM_GAMMA, _splitmix64_array
+
+    with np.errstate(over="ignore"):
+        steps = np.arange(2 * (nblocks + 1), dtype=np.uint64) * np.uint64(_SM_GAMMA)
+        bits = _splitmix64_array(seeds[:, None] + steps).reshape(len(seeds), nblocks + 1, 2)
+    m = bits >> np.uint64(12)
+    if noise.discrete:
+        eps = noise.support_grid()[(m * np.uint64(noise.support_points)) >> np.uint64(52)]
+    else:
+        m = m.astype(np.float64)
+        radius = np.sqrt(-2.0 * np.log((m[..., 0] + 0.5) * 2.0 ** -52))
+        theta = 2.0 * np.pi * (m[..., 1] * 2.0 ** -52)
+        eps = np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=-1)
+    return noise.sigma_s * eps[:, :nblocks, :], noise.sigma_a * eps[:, nblocks, :]
+
+
+@pytest.mark.parametrize("nblocks", [0, 1, 4, 6])
+@pytest.mark.parametrize("k", [None, 5])
+def test_draws_match_stacked_reference(nblocks, k):
+    noise = NoiseModel(0.013, 0.021, support_points=k)
+    # more seeds than one block of worlds, and a ragged last block
+    seeds = derive_sample_seeds(77, "stacked", 5000)
+    ws, wa = draw_exogenous_batch(seeds, nblocks, noise)
+    ref_ws, ref_wa = _stacked_reference(seeds, nblocks, noise)
+    assert ws.shape == (5000, nblocks, 2) and wa.shape == (5000, 2)
+    assert np.ascontiguousarray(ws).tobytes() == ref_ws.tobytes()
+    assert np.ascontiguousarray(wa).tobytes() == np.ascontiguousarray(ref_wa).tobytes()
+    # axis-major: every (x or y, block) row runs contiguously over the seeds
+    assert ws.strides[0] == wa.strides[0] == 8
+
+
 def test_scalar_draw_takes_seed_mod_2_64():
     noise = NoiseModel(0.02, 0.01)
     assert draw_exogenous(-1, 2, noise) == draw_exogenous(2 ** 64 - 1, 2, noise)
@@ -389,6 +424,31 @@ def test_abduct_belief_inversion_exact():
     s0h = trace.z0.centers()[None, :, :] - result.ws_accepted
     assert np.array_equal(s0h + result.ws_accepted,
                           np.broadcast_to(trace.z0.centers(), s0h.shape))
+
+
+def test_kernel_callers_pass_axis_major_worlds(monkeypatch):
+    # predict, abduction and replay hand the kernel poses whose planes
+    # transpose(2, 1, 0) are C-contiguous, so it reads each row in one run
+    import causalblocks.inference as inference_mod
+    from causalblocks import physics
+
+    contiguous = []
+
+    def recording(s0_centers, belief_top, action, wa, base):
+        contiguous.append(s0_centers.transpose(2, 1, 0).flags.c_contiguous)
+        return physics.outcome_mask(s0_centers, belief_top, action, wa, base)
+
+    monkeypatch.setattr(inference_mod, "outcome_mask", recording)
+    monkeypatch.setattr(scm_mod, "outcome_mask", recording)
+    sc = two_cube_scenario(0.02, 0.02)
+    for action in (NullAction(), place_b2(sc, 0.03)):
+        predict_stability(sc.tower, action, sc.noise, 3000, 5)
+    trace = sample_episode(sc.tower, place_b2(sc, 0.04), sc.noise, 3)
+    abduction = abduct(trace, sc.noise, 500, 9)
+    for target in (SetAction(place_b2(sc)), SetActuationNoise((0.0, 0.0)),
+                   SetSensorNoise(((0.0, 0.0),))):
+        counterfactual_outcomes(trace, target, abduction)
+    assert len(contiguous) >= 6 and all(contiguous)
 
 
 def test_abduct_rejects_bad_arguments():
