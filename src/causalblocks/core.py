@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from statistics import NormalDist
 from typing import Iterable, Optional, Union
 
@@ -119,7 +120,7 @@ def _require_finite(name: str, value: float) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockSpec:
     """A cuboid block: extents along x/y/z, mass, and a display color."""
 
@@ -143,7 +144,7 @@ class BlockSpec:
         return (self.width / 2.0, self.depth / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlacedBlock:
     """A block at a world-frame (x, y) center; z follows from stacking order."""
 
@@ -170,7 +171,7 @@ def _footprint_overlap_positive(a: tuple[float, float, float, float],
     return min(a[2], b[2]) > max(a[0], b[0]) and min(a[3], b[3]) > max(a[1], b[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerState:
     """A single-column tower on a finite rectangular support surface.
 
@@ -263,12 +264,12 @@ class TowerState:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NullAction:
     """Leave the tower untouched (the no-op stability query)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaceAction:
     """Place ``spec`` with its center at the believed top-block center plus
     (offset_x, offset_y); on an empty tower the offset is relative to the
@@ -302,7 +303,7 @@ NULL_ACTION = NullAction()
 MAX_SUPPORT_POINTS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoiseModel:
     """Zero-mean sensor and actuation noise, i.i.d. per block and per axis.
 
@@ -338,7 +339,7 @@ class NoiseModel:
         return np.array([inv_cdf((j + 0.5) / k) for j in range(k)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExogenousSample:
     """Concrete noise draws for one episode: per-block sensing error and one
     actuation error."""
@@ -358,7 +359,7 @@ class ExogenousSample:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     """What actually happened in a simulated episode."""
 
@@ -367,7 +368,7 @@ class GroundTruth:
     s1: TowerState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EpisodeTrace:
     """One full run of the generative model.
 
@@ -387,7 +388,7 @@ class EpisodeTrace:
     ground_truth: Optional[GroundTruth] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityHeatmap:
     """Per-cell stability probabilities over a grid of placement offsets.
 
@@ -436,7 +437,7 @@ class StabilityHeatmap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A tower, the blocks still to be placed, and the ambient noise."""
 
@@ -488,19 +489,19 @@ def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
 _SPEC_FIELDS = ("id", "width", "depth", "height", "mass", "color")
 
 
+# A trace file repeats each spec in up to four towers, and callers load many
+# files of the same blocks: equal parsed specs share one immutable BlockSpec.
+_shared_spec = lru_cache(maxsize=256)(BlockSpec)
+
+
 def _block_spec_from_dict(obj: dict, where: str) -> BlockSpec:
     _check_keys(obj, _SPEC_FIELDS, where=where)
     if not isinstance(obj["id"], str) or not isinstance(obj["color"], str):
         raise SchemaError(f"{where}: id and color must be strings")
     try:
-        return BlockSpec(
-            id=obj["id"],
-            width=_number(obj, "width", where),
-            depth=_number(obj, "depth", where),
-            height=_number(obj, "height", where),
-            mass=_number(obj, "mass", where),
-            color=obj["color"],
-        )
+        return _shared_spec(obj["id"], _number(obj, "width", where),
+                            _number(obj, "depth", where), _number(obj, "height", where),
+                            _number(obj, "mass", where), obj["color"])
     except ValidationError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

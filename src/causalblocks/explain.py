@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -38,7 +39,7 @@ from .scm import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explanation:
     """One scored counterfactual setting.
 
@@ -152,13 +153,19 @@ def _counterfactual_clause(target: InterventionTarget) -> str:
 
 def render_explanation(e: Explanation) -> str:
     """Fixed sentence per target variant, stable across runs."""
-    clause = _counterfactual_clause(e.target)
-    stats = f"(PN={e.pn:.2f}, N={e.n_samples})"
-    if e.pn == 0.0:
+    return _sentence(_counterfactual_clause(e.target), e.pn, e.n_samples,
+                     e.observed_outcome)
+
+
+# Sentences recur across reports (a few clauses, n + 1 PN values): share them.
+@lru_cache(maxsize=1024)
+def _sentence(clause: str, pn: float, n_samples: int, observed_outcome: bool) -> str:
+    stats = f"(PN={pn:.2f}, N={n_samples})"
+    if pn == 0.0:
         return f"{clause}, the outcome would likely have been the same {stats}."
-    flipped = "stood" if not e.observed_outcome else "fallen"
+    flipped = "stood" if not observed_outcome else "fallen"
     verb = "would have stood" if flipped == "stood" else "would have fallen"
-    return (f"{clause}, the tower {verb} in {e.pn:.0%} of "
+    return (f"{clause}, the tower {verb} in {pn:.0%} of "
             f"consistent worlds {stats}.")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .physics import outcome_mask
 from .scm import draw_exogenous_batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictionEstimate:
     """A Monte-Carlo probability with its binomial standard error."""
 
@@ -85,11 +86,20 @@ def _axis_offsets(n: int, extent: float) -> np.ndarray:
     return (np.arange(n) - c) * step
 
 
+@lru_cache(maxsize=8)
+def _grid_cells(extent_x: float, extent_y: float, nx: int, ny: int
+                ) -> tuple[tuple[float, float], ...]:
+    xs = _axis_offsets(nx, extent_x).tolist()
+    ys = _axis_offsets(ny, extent_y).tolist()
+    return tuple((x, y) for x in xs for y in ys)
+
+
 def candidate_grid(belief: TowerState, new_block: BlockSpec, nx: int, ny: int
                    ) -> list[tuple[float, float]]:
     """Uniform nx-by-ny grid of placement offsets spanning the believed top
     block's footprint (the support surface for an empty tower), endpoints
-    included, row-major with x as the slow axis."""
+    included, row-major with x as the slow axis. Calls with equal extents
+    and dims share the offset tuples, so kept heatmaps do not copy them."""
     if nx < 1 or ny < 1:
         raise ValidationError("grid dimensions must be >= 1")
     top = belief.top
@@ -98,9 +108,7 @@ def candidate_grid(belief: TowerState, new_block: BlockSpec, nx: int, ny: int
     else:
         extent_x = 2.0 * belief.support_half_extents[0]
         extent_y = 2.0 * belief.support_half_extents[1]
-    xs = _axis_offsets(nx, extent_x).tolist()
-    ys = _axis_offsets(ny, extent_y).tolist()
-    return [(x, y) for x in xs for y in ys]
+    return list(_grid_cells(extent_x, extent_y, nx, ny))
 
 
 def _heatmap_cell(args) -> tuple[int, float, float]:
@@ -182,7 +190,7 @@ def stability_heatmap(belief: TowerState, new_block: BlockSpec,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionResult:
     """Chosen placement with its (re-estimated) stability probability."""
 
@@ -192,18 +200,9 @@ class SelectionResult:
     fallback: bool
 
 
-def _literal_geometric_mean(values: list[float], origin: float, spacing: float) -> float:
-    # Comparison rule only: shift so every grid coordinate is positive,
-    # take the geometric mean there, shift back.
-    shift = origin - (spacing if spacing > 0.0 else 1.0)
-    logs = [math.log(v - shift) for v in values]
-    return math.exp(math.fsum(logs) / len(logs)) + shift
-
-
 def select_action(heatmap: StabilityHeatmap, belief: TowerState,
                   new_block: BlockSpec, noise: NoiseModel, threshold: float,
-                  n_samples: int, seed: int,
-                  subset_rule: str = "centroid") -> SelectionResult:
+                  n_samples: int, seed: int) -> SelectionResult:
     """Pick the placement offset from a heatmap.
 
     Cells with p >= threshold form the admissible set; the chosen offset is
@@ -211,13 +210,7 @@ def select_action(heatmap: StabilityHeatmap, belief: TowerState,
     set yields exactly (0, 0)) and expected_p is re-estimated there with a
     fresh derived seed. With an empty admissible set the argmax cell wins,
     ties broken by smallest (offset_x, offset_y).
-
-    ``subset_rule="geometric-mean"`` switches to a literal geometric mean
-    over positivity-shifted coordinates, kept for comparison with the
-    centroid reading.
     """
-    if subset_rule not in ("centroid", "geometric-mean"):
-        raise ValidationError(f"unknown subset_rule {subset_rule!r}")
     if math.isnan(threshold):
         # p >= nan is false for every cell: it would silently take the fallback
         raise ValidationError("threshold must be a number, got nan")
@@ -225,13 +218,7 @@ def select_action(heatmap: StabilityHeatmap, belief: TowerState,
     if admissible:
         xs = [heatmap.offsets[i][0] for i in admissible]
         ys = [heatmap.offsets[i][1] for i in admissible]
-        if subset_rule == "centroid":
-            ox = math.fsum(xs) / len(xs)
-            oy = math.fsum(ys) / len(ys)
-        else:
-            ox = _literal_geometric_mean(xs, heatmap.origin[0], heatmap.spacing[0])
-            oy = _literal_geometric_mean(ys, heatmap.origin[1], heatmap.spacing[1])
-        action = PlaceAction(new_block, ox, oy)
+        action = PlaceAction(new_block, math.fsum(xs) / len(xs), math.fsum(ys) / len(ys))
         est = predict_stability(belief, action, noise, n_samples,
                                 derive_sample_seed(seed, "select-reestimate", 0))
         return SelectionResult(action=action, expected_p=est.p,

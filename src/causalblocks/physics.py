@@ -44,7 +44,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InterfaceCheck:
     """One support-interface test: where the above-group mass acts, the
     contact rectangle it must stay inside, and the signed clearance.
@@ -59,13 +59,13 @@ class InterfaceCheck:
     margin: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StabilityResult:
     stable: bool
     checks: tuple[InterfaceCheck, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionResult:
     s1: TowerState
     outcome: bool

@@ -1,5 +1,6 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+import pickle
 
 import numpy as np
 import pytest
@@ -211,3 +212,73 @@ def test_gaussian_scenario_files_round_trip_byte_identical(name, tmp_path):
     out = tmp_path / name
     save_scenario(load_scenario(path), out)
     assert out.read_bytes() == path.read_bytes()
+
+
+_VALUE_TYPES = (
+    "BlockSpec", "PlacedBlock", "TowerState", "NullAction", "PlaceAction",
+    "NoiseModel", "ExogenousSample", "GroundTruth", "EpisodeTrace",
+    "StabilityHeatmap", "Scenario", "InterfaceCheck", "StabilityResult",
+    "TransitionResult", "AbductionResult", "SetAction", "SetSensorNoise",
+    "SetActuationNoise", "SetInitialState", "Explanation",
+    "PredictionEstimate", "SelectionResult",
+)
+
+
+@pytest.fixture(scope="module")
+def value_objects():
+    """One instance of every value type, built by running the pipeline."""
+    from causalblocks import (NULL_ACTION, PlaceAction, SetAction, SetActuationNoise,
+                              SetInitialState, SetSensorNoise, abduct, candidate_grid,
+                              is_stable, predict_stability, sample_episode,
+                              select_action, stability_heatmap, transition)
+    from causalblocks.explain import explain
+
+    sc = two_cube_scenario(0.01, 0.01)
+    block = sc.pending_blocks[0]
+    action = PlaceAction(block, 0.004, -0.002)
+    trace = sample_episode(sc.tower, action, sc.noise, 3, scenario_id="pickle")
+    grid = candidate_grid(sc.tower, block, 3, 3)
+    heatmap = stability_heatmap(sc.tower, block, grid, sc.noise, 50, 1, dims=(3, 3))
+    step = transition(sc.tower, action, (0.001, 0.0))
+    return {
+        "BlockSpec": block,
+        "PlacedBlock": sc.tower.blocks[0],
+        "TowerState": sc.tower,
+        "NullAction": NULL_ACTION,
+        "PlaceAction": action,
+        "NoiseModel": NoiseModel(0.01, 0.02, support_points=5),
+        "ExogenousSample": trace.ground_truth.exo,
+        "GroundTruth": trace.ground_truth,
+        "EpisodeTrace": trace,
+        "StabilityHeatmap": heatmap,
+        "Scenario": sc,
+        "InterfaceCheck": step.checks[0],
+        "StabilityResult": is_stable(sc.tower),
+        "TransitionResult": step,
+        "AbductionResult": abduct(trace, sc.noise, 20, 4),
+        "SetAction": SetAction(action),
+        "SetSensorNoise": SetSensorNoise(((0.0, 0.0),)),
+        "SetActuationNoise": SetActuationNoise((0.0, 0.0)),
+        "SetInitialState": SetInitialState(sc.tower),
+        "Explanation": explain(trace, sc.noise, 20, 5)[0],
+        "PredictionEstimate": predict_stability(sc.tower, action, sc.noise, 50, 6),
+        "SelectionResult": select_action(heatmap, sc.tower, block, sc.noise, 0.5, 50, 7),
+    }
+
+
+@pytest.mark.parametrize("name", _VALUE_TYPES)
+def test_value_objects_are_slotted_and_pickle_round_trip(value_objects, name):
+    # the heatmap's worker pool sends values between processes by pickle
+    value = value_objects[name]
+    assert type(value).__name__ == name
+    # slotted: no per-instance __dict__
+    assert not hasattr(value, "__dict__")
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    if name == "AbductionResult":
+        # compares by identity (it holds arrays); check each field instead
+        for field in fields(value):
+            assert np.array_equal(getattr(copy, field.name), getattr(value, field.name))
+    else:
+        assert copy == value
+        assert hash(copy) == hash(value)

@@ -243,6 +243,9 @@ def test_render_success_trace_flips_to_fallen():
 def test_render_deterministic():
     e = make_explanation(SetInitialState(two_cube_scenario().tower), 0.25)
     assert render_explanation(e) == render_explanation(e)
+    # equal explanations in different reports share one sentence object
+    twin = make_explanation(SetInitialState(two_cube_scenario().tower), 0.25)
+    assert render_explanation(twin) is render_explanation(e)
 
 
 def test_report_is_json_serializable():

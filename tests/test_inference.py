@@ -132,6 +132,20 @@ def test_three_point_grid_hits_endpoints():
     assert grid == [(-0.05, 0.0), (0.0, 0.0), (0.05, 0.0)]
 
 
+def test_grid_calls_share_offsets_but_not_the_list():
+    sc = two_cube_scenario()
+    block = sc.pending_blocks[0]
+    a = candidate_grid(sc.tower, block, 9, 9)
+    b = candidate_grid(sc.tower, block, 9, 9)
+    assert a == b and a is not b
+    assert all(p is q for p, q in zip(a, b))
+    a.clear()
+    assert candidate_grid(sc.tower, block, 9, 9) == b
+    # another tower with another top block gets its own offsets
+    other = column([cube("a", size=0.2)], [(0.0, 0.0)])
+    assert candidate_grid(other, block, 9, 9)[-1] == (0.1, 0.1)
+
+
 def test_grid_symmetric_under_negation():
     sc = two_cube_scenario()
     grid = candidate_grid(sc.tower, sc.pending_blocks[0], 9, 9)
@@ -371,32 +385,6 @@ def test_selection_invariant_to_probability_scaling():
     scaled = select_action(fixture_heatmap([0.5 * p for p in probs], offsets),
                            sc.tower, sc.pending_blocks[0], ZERO, 0.4, 10, 1)
     assert base.action.offset == scaled.action.offset
-
-
-def test_literal_geometric_mean_rule():
-    offsets = [(x, 0.0) for x in (-0.025, 0.0, 0.025)]
-    hm = fixture_heatmap([0.95, 0.95, 0.95], offsets)
-    sc = two_cube_scenario(0.0, 0.0)
-    centroid = select_action(hm, sc.tower, sc.pending_blocks[0], ZERO, 0.9, 10, 1)
-    literal = select_action(hm, sc.tower, sc.pending_blocks[0], ZERO, 0.9, 10, 1,
-                            subset_rule="geometric-mean")
-    assert centroid.action.offset == (0.0, 0.0)
-    # geometric mean over shifted coordinates lands inside the subset span
-    # but generally off the centroid
-    assert -0.025 <= literal.action.offset_x <= 0.025
-    assert literal.action.offset_x != 0.0
-    r1 = select_action(hm, sc.tower, sc.pending_blocks[0], ZERO, 0.9, 10, 1,
-                       subset_rule="geometric-mean")
-    assert r1.action == literal.action
-
-
-def test_unknown_subset_rule_rejected():
-    offsets = [(0.0, 0.0)]
-    hm = fixture_heatmap([1.0], offsets)
-    sc = two_cube_scenario(0.0, 0.0)
-    with pytest.raises(ValidationError):
-        select_action(hm, sc.tower, sc.pending_blocks[0], ZERO, 0.5, 10, 1,
-                      subset_rule="median")
 
 
 def test_nan_threshold_rejected():

@@ -83,7 +83,7 @@ def test_discrete_draws_come_from_support():
         assert exo.wa[0] in values_a and exo.wa[1] in values_a
 
 
-# --- the draw stream (contract v2) ---------------------------------------------
+# --- the draw stream (contract v3) ---------------------------------------------
 
 
 def test_stream_outputs_and_indices_are_frozen():
@@ -98,7 +98,7 @@ def test_stream_outputs_and_indices_are_frozen():
 
 
 def test_gaussian_draws_are_frozen():
-    # log, sin and cos may round differently on another CPU, hence 4 ulp.
+    # log and tan may round differently on another CPU, hence 4 ulp.
     ws, wa = draw_exogenous_batch(np.array([1234567], dtype=np.uint64), 2,
                                   NoiseModel(1.0, 1.0))
     np.testing.assert_array_max_ulp(
@@ -128,11 +128,35 @@ def test_stream_matches_scalar_splitmix64():
 
 def test_extreme_bit_patterns_give_finite_normals():
     top = 2 ** 64 - 1
-    bits = np.array([[0, 0], [top, top], [0, top], [top, 0]], dtype=np.uint64)
+    pole = 2 ** 51 << 12  # m_y = 2^51: u2 = 1/2, where tan(pi u2) is largest
+    bits = np.array([[0, 0], [top, top], [0, top], [top, 0], [0, pole]],
+                    dtype=np.uint64)
     z = scm_mod._box_muller(bits)
     assert np.all(np.isfinite(z))
     # m = 0 maps to u1 = 2^-53, the largest radius the stream can produce.
-    assert z[0, 0] == pytest.approx(np.sqrt(106 * np.log(2)))
+    radius = np.sqrt(106 * np.log(2))
+    assert z[0, 0] == pytest.approx(radius)
+    assert z[4, 0] == pytest.approx(-radius, abs=1e-14)
+    assert abs(z[4, 1]) < 1e-14
+
+
+def _libm_box_muller(bits):
+    """Draw contract v2's Box-Muller, with libm cos and sin of 2 pi u2."""
+    m = (bits >> np.uint64(12)).astype(np.float64)
+    radius = np.sqrt(-2.0 * np.log((m[..., 0] + 0.5) * 2.0 ** -52))
+    theta = 2.0 * np.pi * (m[..., 1] * 2.0 ** -52)
+    return np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=-1)
+
+
+def test_gaussian_draws_match_libm_box_muller():
+    # v3 takes the same angle as v2 through tan(pi u2); the identities only
+    # move the last bits. Tolerance fixed in advance: 1e-14 per unit normal.
+    seeds = derive_sample_seeds(2024, "libm", 200_000)
+    bits = scm_mod._splitmix64_stream(seeds, 8).reshape(len(seeds), 4, 2)
+    z = scm_mod._box_muller(bits)
+    ref = _libm_box_muller(bits)
+    assert z.shape == ref.shape == (200_000, 4, 2)
+    np.testing.assert_allclose(z, ref, rtol=0.0, atol=1e-14)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,9 +178,9 @@ def test_batch_slice_equals_slice_of_batch(size, start, nblocks, k, master):
 
 
 def _stacked_reference(seeds, nblocks, noise):
-    """Draw contract v2 written as the (n, B+1, 2) stack-and-slice formula:
+    """Draw contract v3 written as the (n, B+1, 2) stack-and-slice formula:
     one row of 2(B+1) stream outputs per seed, rows 0..B-1 sensing, row B
-    actuation."""
+    actuation, Box-Muller through the half-angle tangent t = tan(pi u2)."""
     from causalblocks.core import _SM_GAMMA, _splitmix64_array
 
     with np.errstate(over="ignore"):
@@ -168,8 +192,9 @@ def _stacked_reference(seeds, nblocks, noise):
     else:
         m = m.astype(np.float64)
         radius = np.sqrt(-2.0 * np.log((m[..., 0] + 0.5) * 2.0 ** -52))
-        theta = 2.0 * np.pi * (m[..., 1] * 2.0 ** -52)
-        eps = np.stack((radius * np.cos(theta), radius * np.sin(theta)), axis=-1)
+        t = np.tan(np.pi * (m[..., 1] * 2.0 ** -52))
+        scale = radius / (1.0 + t * t)
+        eps = np.stack((scale * ((1.0 - t) * (1.0 + t)), scale * (2.0 * t)), axis=-1)
     return noise.sigma_s * eps[:, :nblocks, :], noise.sigma_a * eps[:, nblocks, :]
 
 
@@ -380,9 +405,9 @@ def test_abduct_samples_replay_to_observed_outcome():
         trace = sample_episode(sc.tower, place_b2(sc), sc.noise, seed)
         result = abduct(trace, sc.noise, 100, seed + 100)
         z0c = trace.z0.centers()
-        for exo in result.samples[:25]:
-            s0h = trace.z0.with_centers(z0c - exo.ws_array())
-            replayed = transition(s0h, trace.action, exo.wa,
+        for ws, wa in zip(result.ws_accepted[:25], result.wa_accepted[:25]):
+            s0h = trace.z0.with_centers(z0c - ws)
+            replayed = transition(s0h, trace.action, tuple(wa.tolist()),
                                   intended_center=(
                                       trace.z0.top_center()[0] + trace.action.offset_x,
                                       trace.z0.top_center()[1] + trace.action.offset_y))
@@ -571,6 +596,20 @@ def test_trace_round_trip(tmp_path):
     path = tmp_path / "trace.json"
     save_trace(trace, path)
     assert load_trace(path) == trace
+
+
+def test_loaded_traces_share_block_specs(tmp_path):
+    sc = two_cube_scenario(0.02, 0.02)
+    trace = sample_episode(sc.tower, place_b2(sc, 0.01, 0.0), sc.noise, 5)
+    path = tmp_path / "trace.json"
+    save_trace(trace, path)
+    first, second = load_trace(path), load_trace(path)
+    assert first == trace == second
+    gt = first.ground_truth
+    towers = (first.z0, first.belief, gt.s0, gt.s1, second.z0, second.ground_truth.s0)
+    for k in range(len(trace.z0)):
+        assert len({id(t.blocks[k].spec) for t in towers}) == 1
+    assert gt.s1.blocks[-1].spec is first.action.spec is second.action.spec
 
 
 def test_external_trace_round_trip(tmp_path):
