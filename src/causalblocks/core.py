@@ -58,10 +58,14 @@ _SM_GAMMA = 0x9E3779B97F4A7C15
 _SM_MUL1 = 0xBF58476D1CE4E5B9
 _SM_MUL2 = 0x94D049BB133111EB
 
-# Worlds per pass of the vectorized draws and stability kernel. Each pass
-# allocates a dozen or so (2, B, block) temporaries; at this size they stay
-# in cache and are reused from the heap, and memory stays bounded however
-# many worlds a batch holds. Results do not depend on it.
+# Worlds per pass of the allocating paths of the vectorized draws and
+# stability kernel (``draw_exogenous_batch`` without a workspace,
+# ``stability_mask``, ``outcome_mask``), which abduction and replay use.
+# Each pass allocates a dozen or so (2, B, block) temporaries; at this size
+# they stay in cache and are reused from the heap, and memory stays bounded
+# however many worlds a batch holds. Prediction and the heatmap run in a
+# workspace instead (``inference._WORKSPACE_BYTES``). Results do not depend
+# on either.
 _WORLD_BLOCK = 2048
 
 
@@ -72,15 +76,16 @@ def _splitmix64(x: int) -> int:
     return (x ^ (x >> 31)) & _MASK64
 
 
-def _splitmix64_array(x: np.ndarray) -> np.ndarray:
-    """``_splitmix64`` applied elementwise to a fresh uint64 array, in place."""
+def _splitmix64_array(x: np.ndarray, scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """``_splitmix64`` applied elementwise to a fresh uint64 array, in place;
+    ``scratch``, an array of its shape, takes the shifts when it is given."""
     with np.errstate(over="ignore"):
         x += np.uint64(_SM_GAMMA)
-        x ^= x >> np.uint64(30)
+        x ^= np.right_shift(x, np.uint64(30), out=scratch)
         x *= np.uint64(_SM_MUL1)
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=scratch)
         x *= np.uint64(_SM_MUL2)
-        x ^= x >> np.uint64(31)
+        x ^= np.right_shift(x, np.uint64(31), out=scratch)
     return x
 
 
@@ -100,14 +105,16 @@ def derive_sample_seed(master_seed: int, stream_label: str, sample_index: int) -
     return _splitmix64(_label_state(master_seed, stream_label) ^ (sample_index & _MASK64))
 
 
-def derive_sample_seeds(master_seed: int, stream_label: str, n: int, start: int = 0) -> np.ndarray:
+def derive_sample_seeds(master_seed: int, stream_label: str, n: int, start: int = 0,
+                        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Vectorized ``derive_sample_seed`` for indices ``start .. start+n-1``.
 
-    Returns a uint64 array; ``out[i] == derive_sample_seed(master, label,
-    start + i)`` exactly.
+    Returns a uint64 array, ``out`` when it is given; ``out[i] ==
+    derive_sample_seed(master, label, start + i)`` exactly.
     """
     state = np.uint64(_label_state(master_seed, stream_label))
-    return _splitmix64_array(np.arange(start, start + n, dtype=np.uint64) ^ state)
+    return _splitmix64_array(np.bitwise_xor(np.arange(start, start + n, dtype=np.uint64),
+                                            state, out=out))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,13 @@ a grid of candidate placement offsets on the believed top block, and
 estimated probability clears a threshold, falling back to the best single
 cell when none does.
 
+Both run through ``_count_hits``: it allocates one workspace per call,
+bounded by ``_WORKSPACE_BYTES`` whatever n or the grid, packs the worlds of
+every cell end to end into blocks of that workspace, and takes each block
+from seeds through draws to the stability criterion without allocating.
 Each heatmap cell draws from its own derived seed stream, so a heatmap is
-bit-identical whether cells are computed serially or across any number of
-worker processes.
+bit-identical to the cell-by-cell predictions, whether cells are computed
+serially or across any number of worker processes.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +30,7 @@ from .core import (
     Action,
     BlockSpec,
     NoiseModel,
+    NullAction,
     PlaceAction,
     StabilityHeatmap,
     TowerState,
@@ -32,7 +38,7 @@ from .core import (
     derive_sample_seed,
     derive_sample_seeds,
 )
-from .physics import outcome_mask
+from .physics import _criterion
 from .scm import draw_exogenous_batch
 
 
@@ -45,7 +51,97 @@ class PredictionEstimate:
     n_samples: int
 
 
-_PREDICT_CHUNK = 65536
+# Scratch bytes of one ``_count_hits`` call. Its worlds run a block at a
+# time through one workspace of this size, allocated per call, so memory
+# does not grow with n or the grid and concurrent callers share nothing.
+_WORKSPACE_BYTES = 1 << 21
+
+
+def _workspace_layout(nblocks: int, rows: int) -> tuple:
+    """Leading shape and dtype of each workspace array, per world: its
+    seed; its (2, B+1) draws, which turn into the kernel's planes in place;
+    the stream and its scratch for drawing them; and the criterion's COMs
+    and corners and its comparisons over (2, rows), rows = B plus one for
+    a placed block."""
+    return (((), np.uint64), ((2, nblocks + 1), np.float64),
+            ((2, 2 * (nblocks + 1)), np.uint64), ((3, 2, rows), np.float64),
+            ((2, 2, rows), np.bool_))
+
+
+def _bytes_per_world(nblocks: int, rows: int) -> int:
+    """Workspace bytes per world under ``_workspace_layout``."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for shape, dtype in _workspace_layout(nblocks, rows))
+
+
+def _count_hits(belief: TowerState, actions: Sequence[Action],
+                cell_seeds: Sequence[int], noise: NoiseModel, n: int,
+                stream_label: str) -> list[int]:
+    """Stable worlds per cell: cell i scores ``actions[i]`` in the n worlds
+    of the seed stream (cell_seeds[i], stream_label, 0..n-1).
+
+    The actions share one kind, and one block spec when they place. The
+    cells' worlds are packed end to end into blocks of one workspace: seeds,
+    then draws, then in place the true tower ``belief - ws`` and the landing
+    ``aim + wa``, then the criterion. Every world keeps its own stream, so
+    the counts do not depend on the block size or on how cells are packed.
+    """
+    nb = len(belief)
+    halves = belief.half_extents()
+    masses = belief.masses()
+    place = isinstance(actions[0], PlaceAction)
+    if place:
+        spec = actions[0].spec
+        halves = np.concatenate([halves, [spec.half_extents]])
+        masses = np.append(masses, spec.mass)
+        tx, ty = belief.top_center()
+        aims = [np.array([[tx + a.offset_x], [ty + a.offset_y]]) for a in actions]
+    elif not isinstance(actions[0], NullAction):
+        raise TypeError(f"unknown action type: {actions[0]!r}")
+    rows = nb + place
+    total = len(actions) * n
+    size = max(1, min(_WORKSPACE_BYTES // _bytes_per_world(nb, rows), total))
+    # One allocation, carved into the workspace arrays: freed whole, it
+    # stays in the heap for the next call (glibc raises its mmap threshold
+    # to the size of a freed mapping) instead of being handed back to the
+    # system, so repeat calls fault in no fresh pages.
+    buf = np.empty(size * _bytes_per_world(nb, rows), dtype=np.uint8)
+    arrays, offset = [], 0
+    for shape, dtype in _workspace_layout(nb, rows):
+        nbytes = size * math.prod(shape) * np.dtype(dtype).itemsize
+        arrays.append(buf[offset:offset + nbytes].view(dtype).reshape(*shape, size))
+        offset += nbytes
+    seeds, eps, work, values, flags = arrays
+    centers = belief.centers().T[:, :, None]
+
+    hits = [0] * len(actions)
+    for start in range(0, total, size):
+        m = min(size, total - start)
+        # (cell, first, stop) of each cell's run of worlds inside the block
+        runs = [(cell, max(start, cell * n) - start, min(start + m, (cell + 1) * n) - start)
+                for cell in range(start // n, (start + m - 1) // n + 1)]
+        for cell, a, b in runs:
+            derive_sample_seeds(cell_seeds[cell], stream_label, b - a,
+                                start=start + a - cell * n, out=seeds[a:b])
+        draw_exogenous_batch(seeds[:m], nb, noise, out=eps[:, :, :m], work=work[..., :m])
+        np.subtract(centers, eps[:, :nb, :m], out=eps[:, :nb, :m])
+        if place:
+            for cell, a, b in runs:
+                eps[:, nb, a:b] += aims[cell]
+        stable = _criterion(eps[:, :rows, :m], halves, masses, belief.support_half_extents,
+                            out=(values[..., :m], flags[..., :m]))[3]
+        for cell, a, b in runs:
+            hits[cell] += int(np.count_nonzero(stable[a:b]))
+    return hits
+
+
+@lru_cache(maxsize=1024)
+def _proportion(hits: int, n: int) -> tuple[float, float]:
+    """``(p, stderr)`` of ``hits`` in ``n`` worlds, stderr sqrt(p(1-p)/n).
+    Equal counts share the float objects, so kept estimates do not copy
+    them."""
+    p = hits / n
+    return p, math.sqrt(p * (1.0 - p) / n)
 
 
 def predict_stability(belief: TowerState, action: Action, noise: NoiseModel,
@@ -55,24 +151,13 @@ def predict_stability(belief: TowerState, action: Action, noise: NoiseModel,
 
     Sample i uses the seed stream (stream_label, i); the estimate is the
     plain mean of the per-sample outcomes with stderr sqrt(p(1-p)/n).
-    Samples are drawn and scored in chunks, so memory stays bounded in n
-    and the result does not depend on the chunk size.
+    Samples are drawn and scored a block at a time, so memory stays bounded
+    in n and the result does not depend on the block size.
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    # Fortran order keeps ``centers - ws`` in the draws' axis-major layout.
-    centers = np.asfortranarray(belief.centers())[None, :, :]
-    top = np.array(belief.top_center())
-    hits = 0
-    for start in range(0, n_samples, _PREDICT_CHUNK):
-        m = min(_PREDICT_CHUNK, n_samples - start)
-        seeds = derive_sample_seeds(seed, stream_label, m, start=start)
-        ws, wa = draw_exogenous_batch(seeds, len(belief), noise)
-        outcomes = outcome_mask(centers - ws, np.broadcast_to(top, (m, 2)), action, wa,
-                                base=belief)
-        hits += int(np.count_nonzero(outcomes))
-    p = hits / n_samples
-    stderr = math.sqrt(p * (1.0 - p) / n_samples)
+    (hits,) = _count_hits(belief, [action], [seed], noise, n_samples, stream_label)
+    p, stderr = _proportion(hits, n_samples)
     return PredictionEstimate(p=p, stderr=stderr, n_samples=n_samples)
 
 
@@ -111,13 +196,6 @@ def candidate_grid(belief: TowerState, new_block: BlockSpec, nx: int, ny: int
     return list(_grid_cells(extent_x, extent_y, nx, ny))
 
 
-def _heatmap_cell(args) -> tuple[int, float, float]:
-    belief, new_block, offset, noise, n_per_cell, cell_seed, index = args
-    est = predict_stability(belief, PlaceAction(new_block, offset[0], offset[1]),
-                            noise, n_per_cell, cell_seed)
-    return (index, est.p, est.stderr)
-
-
 def _infer_dims(grid: Sequence[tuple[float, float]]) -> tuple[int, int]:
     xs = list(dict.fromkeys(x for x, _ in grid))
     ys = list(dict.fromkeys(y for _, y in grid))
@@ -132,10 +210,12 @@ def stability_heatmap(belief: TowerState, new_block: BlockSpec,
                       grid: Sequence[tuple[float, float]], noise: NoiseModel,
                       n_per_cell: int, seed: int, workers: int = 1,
                       dims: Optional[tuple[int, int]] = None) -> StabilityHeatmap:
-    """Run ``predict_stability`` for a Place at every grid offset.
+    """``predict_stability`` of a Place at every grid offset.
 
-    Cell i draws from the derived stream ("heatmap-cell", i), so results do
-    not depend on ``workers``. ``dims`` may be given when the grid is a
+    Cell i is the prediction with master seed ``derive_sample_seed(seed,
+    "heatmap-cell", i)``, bit for bit, so results do not depend on
+    ``workers``; a pool of ``workers`` processes scores that many
+    contiguous slices of cells. ``dims`` may be given when the grid is a
     known nx-by-ny product; otherwise it is inferred (a non-product grid is
     treated as a single row).
     """
@@ -152,25 +232,23 @@ def stability_heatmap(belief: TowerState, new_block: BlockSpec,
     if nx * ny != len(grid):
         raise ValidationError(f"dims {dims} do not cover {len(grid)} grid cells")
 
-    tasks = [
-        (belief, new_block, grid[i], noise, n_per_cell,
-         derive_sample_seed(seed, "heatmap-cell", i), i)
-        for i in range(len(grid))
-    ]
-    probs = [0.0] * len(grid)
-    errs = [0.0] * len(grid)
+    actions = [PlaceAction(new_block, ox, oy) for ox, oy in grid]
+    cell_seeds = derive_sample_seeds(seed, "heatmap-cell", len(grid)).tolist()
     if workers == 1:
-        results = map(_heatmap_cell, tasks)
+        hits = _count_hits(belief, actions, cell_seeds, noise, n_per_cell, "predict")
     else:
         # Imported here: the pool pulls in multiprocessing (about 40 modules
         # and 1.4 MB), which callers that never ask for workers do not need.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_heatmap_cell, tasks))
-    for index, p, se in results:
-        probs[index] = p
-        errs[index] = se
+        cuts = [len(grid) * k // workers for k in range(workers + 1)]
+        slices = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
+            parts = pool.map(_count_hits, repeat(belief), [actions[s] for s in slices],
+                             [cell_seeds[s] for s in slices], repeat(noise),
+                             repeat(n_per_cell), repeat("predict"))
+            hits = [h for part in parts for h in part]
+    probs, errs = zip(*(_proportion(h, n_per_cell) for h in hits))
 
     if nx > 1:
         spacing_x = grid[ny][0] - grid[0][0]
@@ -184,8 +262,8 @@ def stability_heatmap(belief: TowerState, new_block: BlockSpec,
         origin=grid[0],
         spacing=(spacing_x, spacing_y),
         dims=dims,
-        probabilities=tuple(probs),
-        stderr=tuple(errs),
+        probabilities=probs,
+        stderr=errs,
         offsets=tuple(grid),
     )
 

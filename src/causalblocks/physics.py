@@ -22,9 +22,11 @@ worlds contiguous along the last axis. Every step is then an elementwise
 operation over long contiguous rows, and the draws in ``scm`` come out in
 the same layout, so ``outcome_mask`` reads them without a transposing copy.
 Batches are processed a block of worlds at a time (``core._WORLD_BLOCK``) to
-keep the temporaries in cache. The test ``lo < com < hi`` on each axis also
-rules out an empty contact (``lo >= hi``), so the criterion has no separate
-overlap test; a contact that closes to an edge (``lo == hi``) is unstable.
+keep the temporaries in cache; a caller with its own workspace hands
+``_criterion`` the arrays to work in (``inference._count_hits``). The test
+``lo < com < hi`` on each axis also rules out an empty contact (``lo >=
+hi``), so the criterion has no separate overlap test; a contact that closes
+to an edge (``lo == hi``) is unstable.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ def rect_margin(px: float, py: float,
 
 
 def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
-               support_half_extents: tuple[float, float]
+               support_half_extents: tuple[float, float],
+               out: Optional[tuple[np.ndarray, np.ndarray]] = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The stability criterion for ``n`` towers that share specs.
 
@@ -103,7 +106,9 @@ def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
     (B, 2) and ``masses`` (B,) apply to every tower. Returns ``(coms, lo,
     hi, stable)``: the above-group COM at each interface and the contact
     rectangle's corners, each (2, B, n), and the (n,) verdict, the AND over
-    all 2B (axis, interface) rows.
+    all 2B (axis, interface) rows. ``out``, when given, is a float array
+    (3, 2, B, n) and a bool array (2, 2, B, n) that take the COMs, corners
+    and comparisons in place of fresh arrays; only the verdict is new.
 
     Above-group COMs are mass-weighted sums accumulated from the top block
     downward. The contact rectangle at interface k is the overlap of block
@@ -114,8 +119,9 @@ def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
     overlap test.
     """
     _, nb, n = planes.shape
+    values, flags = ((None,) * 3, (None,) * 2) if out is None else out
     h = halves.T[:, :, None]
-    wsum = planes * masses[:, None]
+    wsum = np.multiply(planes, masses[:, None], out=values[0])
     # Top-down running sum, in place: wsum[:, k] becomes the sum over blocks
     # k..B-1. A loop over the B rows adds in the same order as np.cumsum
     # but runs along the contiguous world axis, several times faster.
@@ -126,8 +132,8 @@ def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
 
     # Each block's footprint, then, in place from the top down, clipped by
     # the face below it: block k-1's footprint, and the support's at k = 0.
-    lo = planes - h
-    hi = planes + h
+    lo = np.subtract(planes, h, out=values[1])
+    hi = np.add(planes, h, out=values[2])
     for k in range(nb - 1, 0, -1):
         np.maximum(lo[:, k - 1], lo[:, k], out=lo[:, k])
         np.minimum(hi[:, k - 1], hi[:, k], out=hi[:, k])
@@ -135,8 +141,8 @@ def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
     np.maximum(-support, lo[:, :1], out=lo[:, :1])
     np.minimum(support, hi[:, :1], out=hi[:, :1])
 
-    inside = coms > lo
-    inside &= coms < hi
+    inside = np.greater(coms, lo, out=flags[0])
+    inside &= np.less(coms, hi, out=flags[1])
     stable = np.logical_and.reduce(inside.reshape(2 * nb, n), axis=0)
     return coms, lo, hi, stable
 

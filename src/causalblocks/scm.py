@@ -104,58 +104,80 @@ class AbductionFailure(RuntimeError):
 _TWO_M52 = 2.0 ** -52
 
 
-def _splitmix64_stream(seeds: np.ndarray, count: int) -> np.ndarray:
+def _splitmix64_stream(seeds: np.ndarray, count: int, out: Optional[np.ndarray] = None,
+                       scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """(n, count) uint64 array: out[i, j] is output j of the stream keyed by
     seeds[i]. It is the transposed view of a C-order (count, n) array, so
-    each output index j is one contiguous row over the seeds."""
+    each output index j is one contiguous row over the seeds; that array is
+    ``out`` when it is given, and ``scratch`` (its shape) takes the shifts."""
     with np.errstate(over="ignore"):
         steps = np.arange(count, dtype=np.uint64) * np.uint64(_SM_GAMMA)
-        return _splitmix64_array(steps[:, None] + seeds[None, :]).T
+        return _splitmix64_array(np.add(steps[:, None], seeds[None, :], out=out), scratch).T
 
 
-def _box_muller(bits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _box_muller(bits: np.ndarray, out: Optional[np.ndarray] = None,
+                scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Standard normals from uint64 pairs along the last axis, written into
-    ``out`` (the shape of ``bits``) when it is given."""
-    m = (bits >> np.uint64(12)).astype(np.float64)
-    radius = np.sqrt(-2.0 * np.log((m[..., 0] + 0.5) * _TWO_M52))
-    # m * (pi 2^-52) is pi * u2 bit for bit (2^-52 scales exactly). tan
-    # gets the fresh contiguous product, so it always runs its vector loop.
-    t = np.tan(m[..., 1] * (np.pi * _TWO_M52))
-    radius /= 1.0 + t * t
+    ``out`` (the shape of ``bits``) when it is given. With ``scratch``, a
+    float array of that shape, every intermediate goes to ``bits``, ``out``
+    or ``scratch`` instead of a fresh array, and ``bits`` is overwritten."""
     if out is None:
         out = np.empty(bits.shape)
-    np.multiply(radius, (1.0 - t) * (1.0 + t), out=out[..., 0])
-    np.multiply(radius, 2.0 * t, out=out[..., 1])
+    # Where each intermediate goes: x and y into out's halves, the factors
+    # of the angle terms into scratch's; None takes a fresh array.
+    x, y, s, c = (None,) * 4 if scratch is None else (
+        out[..., 0], out[..., 1], scratch[..., 0], scratch[..., 1])
+    m = np.right_shift(bits, np.uint64(12), out=None if scratch is None else bits)
+    u1 = np.multiply(np.add(m[..., 0], 0.5, out=x), _TWO_M52, out=x)
+    radius = np.sqrt(np.multiply(-2.0, np.log(u1, out=x), out=x), out=x)
+    # m * (pi 2^-52) is pi * u2 bit for bit (2^-52 scales exactly). tan
+    # gets the product's contiguous rows, so it always runs its vector loop.
+    t = np.tan(np.multiply(m[..., 1], np.pi * _TWO_M52, out=y), out=y)
+    radius /= np.add(1.0, np.multiply(t, t, out=s), out=s)
+    cos_factor = np.multiply(np.subtract(1.0, t, out=s), np.add(1.0, t, out=c), out=s)
+    np.multiply(radius, np.multiply(2.0, t, out=y), out=out[..., 1])
+    np.multiply(radius, cos_factor, out=out[..., 0])
     return out
 
 
-def _support_indices(bits: np.ndarray, k: int) -> np.ndarray:
-    """Indices into a k-point support grid, uniform over 0..k-1."""
-    return ((bits >> np.uint64(12)) * np.uint64(k)) >> np.uint64(52)
+def _support_indices(bits: np.ndarray, k: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Indices into a k-point support grid, uniform over 0..k-1, written
+    into ``out`` (which may be ``bits``) when it is given."""
+    shifted = np.right_shift(bits, np.uint64(12), out=out)
+    return np.right_shift(np.multiply(shifted, np.uint64(k), out=out), np.uint64(52), out=out)
 
 
-def draw_exogenous_batch(seeds: np.ndarray, nblocks: int,
-                         noise: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+def draw_exogenous_batch(seeds: np.ndarray, nblocks: int, noise: NoiseModel,
+                         out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked draws for many seeds: ws (n, B, 2) and wa (n, 2).
 
     Both are transposed views of one axis-major (2, B+1, n) array (x plane,
     then y plane, the seeds contiguous along the last axis), the layout the
-    physics kernel works in.
+    physics kernel works in; ``out`` is that array when it is given. With
+    ``work``, a uint64 array (2, 2(B+1), n), the stream and every
+    intermediate live in ``work`` and ``out``, and the batch is drawn in one
+    pass; without it, a block of seeds at a time into fresh arrays.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     n = len(seeds)
     grid = noise.support_grid() if noise.discrete else None
-    eps = np.empty((2, nblocks + 1, n))
-    for start in range(0, n, _WORLD_BLOCK):
-        stop = min(start + _WORLD_BLOCK, n)
+    eps = np.empty((2, nblocks + 1, n)) if out is None else out
+    step = _WORLD_BLOCK if work is None else max(n, 1)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        stream, scratch = (None, None) if work is None else work[:, :, start:stop]
         # (m, B+1, 2) view of the (2(B+1), m) stream: row r pairs outputs 2r, 2r+1.
-        bits = _splitmix64_stream(seeds[start:stop], 2 * (nblocks + 1)).reshape(
-            stop - start, nblocks + 1, 2)
-        out = eps[:, :, start:stop].transpose(2, 1, 0)
+        bits = _splitmix64_stream(seeds[start:stop], 2 * (nblocks + 1), stream,
+                                  scratch).reshape(stop - start, nblocks + 1, 2)
+        block = eps[:, :, start:stop].transpose(2, 1, 0)
         if grid is None:
-            _box_muller(bits, out=out)
+            _box_muller(bits, out=block, scratch=None if scratch is None else
+                        scratch.view(np.float64).T.reshape(bits.shape))
         else:
-            out[...] = grid[_support_indices(bits, noise.support_points)]
+            indices = _support_indices(bits, noise.support_points,
+                                       out=None if work is None else bits)
+            np.take(grid, indices, out=block, mode="clip")
     eps[:, :nblocks] *= noise.sigma_s
     eps[:, nblocks] *= noise.sigma_a
     return eps[:, :nblocks].transpose(2, 1, 0), eps[:, nblocks].T

@@ -1,5 +1,7 @@
+import hashlib
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,8 @@ from causalblocks import (PlaceAction, load_trace, sample_episode, save_trace, s
                           scenario_to_dict)
 from causalblocks.cli import main
 from causalblocks.scenarios import two_cube_scenario
+
+TWO_CUBES = str(Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "two_cubes.json")
 
 
 @pytest.fixture
@@ -181,6 +185,31 @@ def test_heatmap_bad_grid_spec(zero_scenario, tmp_path):
                  "--grid", "nine", "--n", "16", "--seed", "3",
                  "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "4"])
+def test_readme_heatmap_outputs_are_frozen(workers, tmp_path):
+    # The README command's CSV and PGM, pinned: a change to the draws, the
+    # kernel, the cell streams or the packing of cells shows up here.
+    csv_path, pgm_path = tmp_path / "heatmap.csv", tmp_path / "heatmap.pgm"
+    assert main(["heatmap", "--scenario", TWO_CUBES, "--block", "b2", "--grid", "9x9",
+                 "--n", "2000", "--seed", "7", "--out", str(csv_path),
+                 "--pgm", str(pgm_path), "--workers", workers]) == 0
+    assert _sha256(csv_path.read_bytes()) == (
+        "2cddb2594a9fd47e36467d4473694a909f33d26ddf2cbb52510eb114ef8fbf54")
+    assert _sha256(pgm_path.read_bytes()) == (
+        "ea4926bbab82e63b351f0976470bec7c6b5ba2464e666443f23c33dc61ce9b43")
+
+
+def test_readme_select_output_is_frozen(capsys):
+    assert main(["select", "--scenario", TWO_CUBES, "--block", "b2", "--grid", "9x9",
+                 "--threshold", "0.8", "--n", "2000", "--seed", "7"]) == 0
+    assert _sha256(capsys.readouterr().out.encode("utf-8")) == (
+        "fb962155512ab2c0a6f12361e01594f55067c6c02146fce49aec426521aee914")
 
 
 # --- select -------------------------------------------------------------------

@@ -22,7 +22,7 @@ from causalblocks import (
     stability_heatmap,
     transition,
 )
-from causalblocks.scenarios import cube, column, two_cube_scenario
+from causalblocks.scenarios import cube, column, random_scenario, two_cube_scenario
 
 ZERO = NoiseModel(0.0, 0.0)
 
@@ -111,11 +111,37 @@ def test_prediction_independent_of_chunk_size(noise, monkeypatch):
     action = place_b2(sc, 0.03, -0.01)
     n = 9000
     single = predict_stability(sc.tower, action, noise, n, 11)
-    for chunk in (1, 7, 8192):
-        monkeypatch.setattr(inference_mod, "_PREDICT_CHUNK", chunk)
+    per_world = inference_mod._bytes_per_world(len(sc.tower), len(sc.tower) + 1)
+    for block in (1, 7, 8192):
+        # a workspace budget that holds exactly ``block`` worlds
+        monkeypatch.setattr(inference_mod, "_WORKSPACE_BYTES", block * per_world)
         est = predict_stability(sc.tower, action, noise, n, 11)
         assert (est.p, est.stderr) == (single.p, single.stderr)
     assert 0.0 < single.p < 1.0
+
+
+def test_equal_counts_share_the_estimate_floats():
+    sc = two_cube_scenario(0.0, 0.0)
+    block = sc.pending_blocks[0]
+    grid = candidate_grid(sc.tower, block, 9, 1)
+    hm = stability_heatmap(sc.tower, block, grid, ZERO, 40, 3, dims=(9, 1))
+    inside = [i for i, (ox, _) in enumerate(grid) if abs(ox) < 0.05]
+    assert len(inside) == 7 and hm.probabilities[0] == hm.probabilities[-1] == 0.0
+    for a in inside:
+        assert hm.probabilities[a] is hm.probabilities[inside[0]]
+        assert hm.stderr[a] is hm.stderr[inside[0]]
+    assert hm.probabilities[0] is hm.probabilities[-1]
+    est = predict_stability(sc.tower, PlaceAction(block, 0.0, 0.0), ZERO, 40, 5)
+    assert est.p is hm.probabilities[inside[0]] and est.stderr is hm.stderr[inside[0]]
+
+    noisy = NoiseModel(0.02, 0.02)
+    for n, seed in ((7, 1), (999, 2), (1000, 3)):
+        first = predict_stability(sc.tower, PlaceAction(block, 0.03, 0.0), noisy, n, seed)
+        again = predict_stability(sc.tower, PlaceAction(block, -0.01, 0.02), noisy, n,
+                                  seed + 10)
+        assert first.stderr == math.sqrt(first.p * (1.0 - first.p) / n)
+        if first.p == again.p:
+            assert first.p is again.p and first.stderr is again.stderr
 
 
 # --- candidate_grid --------------------------------------------------------------
@@ -303,6 +329,41 @@ def test_heatmap_worker_count_does_not_change_results():
     parallel = stability_heatmap(sc.tower, block, grid, sc.noise, 300, 21,
                                  workers=3, dims=(5, 1))
     assert serial == parallel
+
+
+def _cell_block(tower):
+    import causalblocks.inference as inference_mod
+
+    nb = len(tower)
+    return inference_mod._WORKSPACE_BYTES // inference_mod._bytes_per_world(nb, nb + 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(tower_seed=st.integers(min_value=0, max_value=2 ** 32),
+       dims=st.sampled_from([(1, 1), (3, 1), (9, 9)]),
+       k=st.sampled_from([None, 5]),
+       size=st.sampled_from(["1", "7", "999", "1000", "block-1", "block", "block+1",
+                             "2block+3"]),
+       seed=st.integers(min_value=0, max_value=2 ** 63))
+def test_heatmap_cells_equal_single_cell_predictions(tower_seed, dims, k, size, seed):
+    # Packing cells into shared world blocks, and splitting a cell across
+    # blocks, leaves every cell its own stream: cell i is the prediction
+    # from the derived seed ("heatmap-cell", i), bit for bit.
+    sc = random_scenario(tower_seed, max_blocks=6)
+    noise = NoiseModel(0.01, 0.012, support_points=k)
+    block = _cell_block(sc.tower)
+    n = {"block-1": block - 1, "block": block, "block+1": block + 1,
+         "2block+3": 2 * block + 3}.get(size) or int(size)
+    new_block = sc.pending_blocks[0]
+    grid = candidate_grid(sc.tower, new_block, *dims)
+    hm = stability_heatmap(sc.tower, new_block, grid, noise, n, seed, dims=dims)
+    for i, (ox, oy) in enumerate(grid):
+        est = predict_stability(sc.tower, PlaceAction(new_block, ox, oy), noise, n,
+                                derive_sample_seed(seed, "heatmap-cell", i))
+        assert (hm.probabilities[i], hm.stderr[i]) == (est.p, est.stderr), i
+    for workers in (2, 3):
+        assert stability_heatmap(sc.tower, new_block, grid, noise, n, seed,
+                                 workers=workers, dims=dims) == hm
 
 
 def test_heatmap_validates_input():

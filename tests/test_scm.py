@@ -452,8 +452,9 @@ def test_abduct_belief_inversion_exact():
 
 
 def test_kernel_callers_pass_axis_major_worlds(monkeypatch):
-    # predict, abduction and replay hand the kernel poses whose planes
-    # transpose(2, 1, 0) are C-contiguous, so it reads each row in one run
+    # abduction and replay hand the kernel poses whose planes
+    # transpose(2, 1, 0) are C-contiguous, and predict hands the criterion
+    # planes whose rows are contiguous, so it reads each row in one run
     import causalblocks.inference as inference_mod
     from causalblocks import physics
 
@@ -463,7 +464,11 @@ def test_kernel_callers_pass_axis_major_worlds(monkeypatch):
         contiguous.append(s0_centers.transpose(2, 1, 0).flags.c_contiguous)
         return physics.outcome_mask(s0_centers, belief_top, action, wa, base)
 
-    monkeypatch.setattr(inference_mod, "outcome_mask", recording)
+    def recording_criterion(planes, *args, **kwargs):
+        contiguous.append(planes.strides[-1] == planes.itemsize)
+        return physics._criterion(planes, *args, **kwargs)
+
+    monkeypatch.setattr(inference_mod, "_criterion", recording_criterion)
     monkeypatch.setattr(scm_mod, "outcome_mask", recording)
     sc = two_cube_scenario(0.02, 0.02)
     for action in (NullAction(), place_b2(sc, 0.03)):
