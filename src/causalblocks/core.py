@@ -327,6 +327,8 @@ class NoiseModel:
     support_points: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _require_finite("sigma_s", self.sigma_s)
+        _require_finite("sigma_a", self.sigma_a)
         if not (self.sigma_s >= 0.0) or not (self.sigma_a >= 0.0):
             raise ValidationError("noise sigmas must be >= 0")
         if self.support_points is not None and not (1 <= self.support_points <= MAX_SUPPORT_POINTS):
@@ -338,12 +340,19 @@ class NoiseModel:
         return self.support_points is not None
 
     def support_grid(self) -> np.ndarray:
-        """Unit support values for discrete mode (scaled by sigma at draw time)."""
+        """Unit support values for discrete mode (scaled by sigma at draw
+        time): one read-only array per k, shared by every call."""
         if self.support_points is None:
             raise ValidationError("support_grid is only defined in discrete mode")
-        k = self.support_points
-        inv_cdf = NormalDist().inv_cdf
-        return np.array([inv_cdf((j + 0.5) / k) for j in range(k)])
+        return _support_grid(self.support_points)
+
+
+@lru_cache(maxsize=64)
+def _support_grid(k: int) -> np.ndarray:
+    inv_cdf = NormalDist().inv_cdf
+    grid = np.array([inv_cdf((j + 0.5) / k) for j in range(k)])
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True, slots=True)

@@ -57,21 +57,21 @@ class PredictionEstimate:
 _WORKSPACE_BYTES = 1 << 21
 
 
-def _workspace_layout(nblocks: int, rows: int) -> tuple:
-    """Leading shape and dtype of each workspace array, per world: its
-    seed; its (2, B+1) draws, which turn into the kernel's planes in place;
-    the stream and its scratch for drawing them; and the criterion's COMs
-    and corners and its comparisons over (2, rows), rows = B plus one for
-    a placed block."""
-    return (((), np.uint64), ((2, nblocks + 1), np.float64),
-            ((2, 2 * (nblocks + 1)), np.uint64), ((3, 2, rows), np.float64),
-            ((2, 2, rows), np.bool_))
+def _workspace_layout(rows: int) -> tuple:
+    """Leading shape and dtype of each workspace array, per world, for the
+    ``rows`` block rows the criterion reads: B for a Null query, B+1 when a
+    block is placed. They are its seed; its (2, rows) draws, which turn into
+    the kernel's planes in place; the (2, 2 rows) stream and its scratch for
+    drawing them; and the criterion's COMs and corners and its comparisons
+    over (2, rows)."""
+    return (((), np.uint64), ((2, rows), np.float64), ((2, 2 * rows), np.uint64),
+            ((3, 2, rows), np.float64), ((2, 2, rows), np.bool_))
 
 
-def _bytes_per_world(nblocks: int, rows: int) -> int:
+def _bytes_per_world(rows: int) -> int:
     """Workspace bytes per world under ``_workspace_layout``."""
     return sum(math.prod(shape) * np.dtype(dtype).itemsize
-               for shape, dtype in _workspace_layout(nblocks, rows))
+               for shape, dtype in _workspace_layout(rows))
 
 
 def _count_hits(belief: TowerState, actions: Sequence[Action],
@@ -83,8 +83,10 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
     The actions share one kind, and one block spec when they place. The
     cells' worlds are packed end to end into blocks of one workspace: seeds,
     then draws, then in place the true tower ``belief - ws`` and the landing
-    ``aim + wa``, then the criterion. Every world keeps its own stream, so
-    the counts do not depend on the block size or on how cells are packed.
+    ``aim + wa``, then the criterion. Only the rows the criterion reads are
+    drawn: a Null query leaves out the actuation row. Every world keeps its
+    own stream, so the counts do not depend on the block size or on how
+    cells are packed.
     """
     nb = len(belief)
     halves = belief.half_extents()
@@ -100,14 +102,14 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
         raise TypeError(f"unknown action type: {actions[0]!r}")
     rows = nb + place
     total = len(actions) * n
-    size = max(1, min(_WORKSPACE_BYTES // _bytes_per_world(nb, rows), total))
+    size = max(1, min(_WORKSPACE_BYTES // _bytes_per_world(rows), total))
     # One allocation, carved into the workspace arrays: freed whole, it
     # stays in the heap for the next call (glibc raises its mmap threshold
     # to the size of a freed mapping) instead of being handed back to the
     # system, so repeat calls fault in no fresh pages.
-    buf = np.empty(size * _bytes_per_world(nb, rows), dtype=np.uint8)
+    buf = np.empty(size * _bytes_per_world(rows), dtype=np.uint8)
     arrays, offset = [], 0
-    for shape, dtype in _workspace_layout(nb, rows):
+    for shape, dtype in _workspace_layout(rows):
         nbytes = size * math.prod(shape) * np.dtype(dtype).itemsize
         arrays.append(buf[offset:offset + nbytes].view(dtype).reshape(*shape, size))
         offset += nbytes
@@ -128,7 +130,7 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
         if place:
             for cell, a, b in runs:
                 eps[:, nb, a:b] += aims[cell]
-        stable = _criterion(eps[:, :rows, :m], halves, masses, belief.support_half_extents,
+        stable = _criterion(eps[..., :m], halves, masses, belief.support_half_extents,
                             out=(values[..., :m], flags[..., :m]))[3]
         for cell, a, b in runs:
             hits[cell] += int(np.count_nonzero(stable[a:b]))

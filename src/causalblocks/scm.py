@@ -100,6 +100,9 @@ class AbductionFailure(RuntimeError):
 # A batch is the same per-seed computation done as array operations, a block
 # of seeds at a time, so a batched estimate equals the sample-by-sample one
 # bit for bit. The batch is stored axis-major, (2, B+1, n): x outputs, then y.
+# A Null prediction reads only the sensing rows 0..B-1, so it draws those
+# alone: outputs 2B and 2B+1 are not computed, and every output it does draw
+# has the value above. No value changes, so the contract stays v3.
 
 _TWO_M52 = 2.0 ** -52
 
@@ -149,38 +152,47 @@ def _support_indices(bits: np.ndarray, k: int, out: Optional[np.ndarray] = None)
 
 def draw_exogenous_batch(seeds: np.ndarray, nblocks: int, noise: NoiseModel,
                          out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
-                         ) -> tuple[np.ndarray, np.ndarray]:
+                         ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Stacked draws for many seeds: ws (n, B, 2) and wa (n, 2).
 
-    Both are transposed views of one axis-major (2, B+1, n) array (x plane,
+    Both are transposed views of one axis-major (2, R, n) array (x plane,
     then y plane, the seeds contiguous along the last axis), the layout the
-    physics kernel works in; ``out`` is that array when it is given. With
-    ``work``, a uint64 array (2, 2(B+1), n), the stream and every
-    intermediate live in ``work`` and ``out``, and the batch is drawn in one
-    pass; without it, a block of seeds at a time into fresh arrays.
+    physics kernel works in; ``out`` is that array when it is given. R is
+    B+1, or B when ``out`` holds only the sensing rows: then the actuation
+    row is not drawn and wa is None. With ``work``, a uint64 array
+    (2, 2R, n), the stream and every intermediate live in ``work`` and
+    ``out``, and the batch is drawn in one pass; without it, a block of
+    seeds at a time into fresh arrays.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     n = len(seeds)
     grid = noise.support_grid() if noise.discrete else None
     eps = np.empty((2, nblocks + 1, n)) if out is None else out
+    rows = eps.shape[1]
+    if rows not in (nblocks, nblocks + 1):
+        raise ValueError(f"out holds {rows} rows for a {nblocks}-block tower")
     step = _WORLD_BLOCK if work is None else max(n, 1)
     for start in range(0, n, step):
         stop = min(start + step, n)
         stream, scratch = (None, None) if work is None else work[:, :, start:stop]
-        # (m, B+1, 2) view of the (2(B+1), m) stream: row r pairs outputs 2r, 2r+1.
-        bits = _splitmix64_stream(seeds[start:stop], 2 * (nblocks + 1), stream,
-                                  scratch).reshape(stop - start, nblocks + 1, 2)
-        block = eps[:, :, start:stop].transpose(2, 1, 0)
+        # (m, 2R) view of the (2R, m) stream: row r pairs outputs 2r, 2r+1.
+        bits = _splitmix64_stream(seeds[start:stop], 2 * rows, stream, scratch)
+        block = eps[:, :, start:stop]
         if grid is None:
-            _box_muller(bits, out=block, scratch=None if scratch is None else
-                        scratch.view(np.float64).T.reshape(bits.shape))
+            pairs = bits.reshape(stop - start, rows, 2)
+            _box_muller(pairs, out=block.transpose(2, 1, 0), scratch=None if scratch is None
+                        else scratch.view(np.float64).T.reshape(pairs.shape))
         else:
-            indices = _support_indices(bits, noise.support_points,
-                                       out=None if work is None else bits)
-            np.take(grid, indices, out=block, mode="clip")
+            # Read through its (2, R, m) view, the stream's rows map to
+            # ``block``'s; the indices go to the scratch in ``block``'s
+            # order, so the lookup reads and writes whole contiguous rows.
+            planes = bits.T.reshape(rows, 2, stop - start).transpose(1, 0, 2)
+            indices = _support_indices(planes, noise.support_points, out=None if scratch is None
+                                       else scratch.reshape(planes.shape))
+            np.take(grid, indices.view(np.int64), out=block, mode="clip")
     eps[:, :nblocks] *= noise.sigma_s
-    eps[:, nblocks] *= noise.sigma_a
-    return eps[:, :nblocks].transpose(2, 1, 0), eps[:, nblocks].T
+    eps[:, nblocks:] *= noise.sigma_a
+    return eps[:, :nblocks].transpose(2, 1, 0), eps[:, nblocks].T if rows > nblocks else None
 
 
 def draw_exogenous(seed: int, nblocks: int, noise: NoiseModel) -> ExogenousSample:

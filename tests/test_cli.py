@@ -138,6 +138,20 @@ def test_predict_negative_sigma_is_usage_error(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+def test_predict_infinite_sigma_is_usage_error(tmp_path, capsys):
+    doc = scenario_to_dict(two_cube_scenario(0.02, 0.02))
+    doc["noise"]["sigma_s"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(doc))
+    assert '"sigma_s": Infinity' in path.read_text()
+    code = main(["predict", "--scenario", str(path), "--action", "null",
+                 "--n", "10", "--seed", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "sigma_s must be finite" in captured.err
+    assert captured.out == ""
+
+
 # --- heatmap ------------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 from dataclasses import fields, replace
+import math
 from pathlib import Path
 import pickle
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -81,6 +83,26 @@ def test_noise_model_validation():
     with pytest.raises(ValidationError):
         NoiseModel(0.0, 0.01, support_points=0)
     NoiseModel(0.0, 0.0)
+
+
+@pytest.mark.parametrize("sigmas", [(math.inf, 0.01), (0.01, math.inf), (-math.inf, 0.0),
+                                    (math.nan, 0.01), (0.01, math.nan)])
+def test_noise_model_rejects_non_finite_sigmas(sigmas):
+    with pytest.raises(ValidationError, match="finite"):
+        NoiseModel(*sigmas)
+    with pytest.raises(ValidationError, match="finite"):
+        NoiseModel(*sigmas, support_points=5)
+
+
+def test_support_grid_is_one_read_only_array_per_k():
+    for k in (1, 2, 5, 64):
+        grid = NoiseModel(0.01, 0.02, support_points=k).support_grid()
+        assert NoiseModel(1.0, 0.0, support_points=k).support_grid() is grid
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+        inv_cdf = NormalDist().inv_cdf
+        assert grid.tolist() == [inv_cdf((j + 0.5) / k) for j in range(k)]
 
 
 def test_discrete_support_grid_symmetric_with_zero_midpoint():

@@ -14,6 +14,7 @@ from causalblocks import (
     ValidationError,
     candidate_grid,
     derive_sample_seed,
+    derive_sample_seeds,
     draw_exogenous,
     heatmap_to_csv,
     heatmap_to_pgm,
@@ -22,6 +23,8 @@ from causalblocks import (
     stability_heatmap,
     transition,
 )
+from causalblocks.physics import stability_mask
+from causalblocks.scm import draw_exogenous_batch
 from causalblocks.scenarios import cube, column, random_scenario, two_cube_scenario
 
 ZERO = NoiseModel(0.0, 0.0)
@@ -111,7 +114,7 @@ def test_prediction_independent_of_chunk_size(noise, monkeypatch):
     action = place_b2(sc, 0.03, -0.01)
     n = 9000
     single = predict_stability(sc.tower, action, noise, n, 11)
-    per_world = inference_mod._bytes_per_world(len(sc.tower), len(sc.tower) + 1)
+    per_world = inference_mod._bytes_per_world(len(sc.tower) + 1)
     for block in (1, 7, 8192):
         # a workspace budget that holds exactly ``block`` worlds
         monkeypatch.setattr(inference_mod, "_WORKSPACE_BYTES", block * per_world)
@@ -142,6 +145,64 @@ def test_equal_counts_share_the_estimate_floats():
         assert first.stderr == math.sqrt(first.p * (1.0 - first.p) / n)
         if first.p == again.p:
             assert first.p is again.p and first.stderr is again.stderr
+
+
+@settings(max_examples=20, deadline=None)
+@given(tower_seed=st.integers(min_value=0, max_value=2 ** 32),
+       k=st.sampled_from([None, 3, 5]),
+       size=st.sampled_from(["1", "7", "1000", "block-1", "block", "block+1", "2block+3"]),
+       seed=st.integers(min_value=0, max_value=2 ** 63))
+def test_null_counts_equal_full_row_reference(tower_seed, k, size, seed):
+    # A Null query draws only the B sensing rows; its worlds must stand
+    # exactly as they do in the full (B+1)-row draws of the same seeds.
+    import causalblocks.inference as inference_mod
+
+    sc = random_scenario(tower_seed, max_blocks=6)
+    tower = sc.tower
+    noise = NoiseModel(0.01, 0.012, support_points=k)
+    nb = len(tower)
+    block = inference_mod._WORKSPACE_BYTES // inference_mod._bytes_per_world(nb)
+    n = {"block-1": block - 1, "block": block, "block+1": block + 1,
+         "2block+3": 2 * block + 3}.get(size) or int(size)
+    cell_seeds = [seed, derive_sample_seed(seed, "other-cell", 0)]
+    hits = inference_mod._count_hits(tower, [NullAction()] * 2, cell_seeds, noise, n,
+                                     "predict")
+    for cell_seed, cell_hits in zip(cell_seeds, hits):
+        ws, wa = draw_exogenous_batch(derive_sample_seeds(cell_seed, "predict", n), nb, noise)
+        assert wa.shape == (n, 2)
+        stable = stability_mask(tower.centers()[None, :, :] - ws, tower.half_extents(),
+                                tower.masses(), tower.support_half_extents)
+        assert cell_hits == int(np.count_nonzero(stable))
+
+
+@pytest.mark.parametrize("k", [None, 5])
+def test_null_blocks_draw_only_the_sensing_rows(k, monkeypatch):
+    import causalblocks.scm as scm_mod
+
+    drawn = []
+    stream = scm_mod._splitmix64_stream
+
+    def counting_stream(seeds, count, *args, **kwargs):
+        drawn.append((len(seeds), count))
+        return stream(seeds, count, *args, **kwargs)
+
+    monkeypatch.setattr(scm_mod, "_splitmix64_stream", counting_stream)
+    tower = column([cube("a"), cube("b"), cube("c")], [(0.0, 0.0)] * 3)
+    noise = NoiseModel(0.01, 0.01, support_points=k)
+    new_block = cube("d")
+    predict_stability(tower, NullAction(), noise, 50, 1)
+    assert drawn == [(50, 2 * 3)]
+    drawn.clear()
+    predict_stability(tower, PlaceAction(new_block, 0.0, 0.0), noise, 50, 1)
+    assert drawn == [(50, 2 * 4)]
+    drawn.clear()
+    stability_heatmap(tower, new_block, candidate_grid(tower, new_block, 3, 1), noise, 20, 1,
+                      dims=(3, 1))
+    assert drawn == [(60, 2 * 4)]
+    drawn.clear()
+    # the allocating path keeps drawing the actuation row
+    ws, wa = draw_exogenous_batch(derive_sample_seeds(1, "predict", 50), 3, noise)
+    assert drawn == [(50, 2 * 4)] and wa.shape == (50, 2)
 
 
 # --- candidate_grid --------------------------------------------------------------
@@ -335,7 +396,7 @@ def _cell_block(tower):
     import causalblocks.inference as inference_mod
 
     nb = len(tower)
-    return inference_mod._WORKSPACE_BYTES // inference_mod._bytes_per_world(nb, nb + 1)
+    return inference_mod._WORKSPACE_BYTES // inference_mod._bytes_per_world(nb + 1)
 
 
 @settings(max_examples=12, deadline=None)
@@ -426,6 +487,27 @@ def test_empty_admissible_set_falls_back_to_argmax():
     assert result.fallback
     assert result.action.offset == (0.0, 0.0)
     assert result.expected_p == 0.7
+
+
+def test_cell_exactly_at_threshold_is_admitted():
+    # 600 of 1000 worlds: the estimate equals the threshold 0.6 exactly
+    offsets = [(-0.0125, 0.0), (0.0, 0.0), (0.0125, 0.0)]
+    hm = fixture_heatmap([0.25, 600 / 1000, 0.5], offsets)
+    assert hm.probabilities[1] == 0.6
+    sc = two_cube_scenario(0.0, 0.0)
+    result = select_action(hm, sc.tower, sc.pending_blocks[0], ZERO, 0.6, 10, 1)
+    assert not result.fallback
+    assert result.admissible_count == 1
+    assert result.action.offset == (0.0, 0.0)
+    assert result.expected_p == 1.0  # re-estimated, not the heatmap's 0.6
+
+    # just above every cell: the fallback takes the best cell as it stands
+    above = math.nextafter(0.6, 1.0)
+    result = select_action(hm, sc.tower, sc.pending_blocks[0], ZERO, above, 10, 1)
+    assert result.fallback
+    assert result.admissible_count == 0
+    assert result.action.offset == (0.0, 0.0)
+    assert result.expected_p == 0.6
 
 
 def test_argmax_tie_breaks_lexicographically():

@@ -213,6 +213,34 @@ def test_draws_match_stacked_reference(nblocks, k):
     assert ws.strides[0] == wa.strides[0] == 8
 
 
+@pytest.mark.parametrize("nblocks", [0, 1, 4, 6])
+@pytest.mark.parametrize("k", [None, 5])
+@pytest.mark.parametrize("actuation", [False, True])
+def test_workspace_draws_match_stacked_reference(nblocks, k, actuation):
+    # Drawn into a slice of a wider workspace, as prediction draws its last
+    # block; without the actuation row, the sensing rows are unchanged.
+    noise = NoiseModel(0.013, 0.021, support_points=k)
+    n, width, rows = 3000, 3100, nblocks + actuation
+    seeds = derive_sample_seeds(78, "stacked", n)
+    eps = np.full((2, rows, width), np.nan)
+    work = np.zeros((2, 2 * rows, width), dtype=np.uint64)
+    ws, wa = draw_exogenous_batch(seeds, nblocks, noise, out=eps[:, :, :n],
+                                  work=work[:, :, :n])
+    ref_ws, ref_wa = _stacked_reference(seeds, nblocks, noise)
+    assert np.ascontiguousarray(ws).tobytes() == ref_ws.tobytes()
+    if actuation:
+        assert np.ascontiguousarray(wa).tobytes() == np.ascontiguousarray(ref_wa).tobytes()
+    else:
+        assert wa is None
+    assert np.isnan(eps[:, :, n:]).all()
+
+
+def test_draw_rows_must_fit_the_tower():
+    seeds = derive_sample_seeds(1, "rows", 4)
+    with pytest.raises(ValueError, match="rows"):
+        draw_exogenous_batch(seeds, 2, ZERO, out=np.empty((2, 4, 4)))
+
+
 def test_scalar_draw_takes_seed_mod_2_64():
     noise = NoiseModel(0.02, 0.01)
     assert draw_exogenous(-1, 2, noise) == draw_exogenous(2 ** 64 - 1, 2, noise)
