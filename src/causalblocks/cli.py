@@ -62,7 +62,10 @@ def _parse_action(spec: str, scenario: Scenario) -> Action:
             dx, dy = float(parts[2]), float(parts[3])
         except ValueError:
             raise UsageError(f"offsets must be numbers, got {parts[2]!r} {parts[3]!r}")
-        return PlaceAction(block, dx, dy)
+        try:
+            return PlaceAction(block, dx, dy)
+        except ValidationError as exc:
+            raise UsageError(str(exc)) from exc
     raise UsageError(
         f"cannot parse action {spec!r}; expected 'null' or 'place BLOCK_ID DX DY'")
 

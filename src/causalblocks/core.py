@@ -408,16 +408,13 @@ class EpisodeTrace:
 class StabilityHeatmap:
     """Per-cell stability probabilities over a grid of placement offsets.
 
-    ``origin`` is the offset of cell (0, 0) relative to the believed
-    top-block center, ``spacing`` the cell pitch, ``dims`` the (nx, ny)
-    counts. ``probabilities`` and ``stderr`` are row-major with x as the
-    slow axis: cell (ix, iy) lives at index ``ix * ny + iy``. ``offsets``
-    stores the exact offsets the cells were evaluated at (symmetric grids
-    are bitwise symmetric, which downstream selection relies on).
+    ``dims`` are the (nx, ny) counts. ``probabilities`` and ``stderr`` are
+    row-major with x as the slow axis: cell (ix, iy) lives at index
+    ``ix * ny + iy``. ``offsets`` stores the exact offsets, relative to the
+    believed top-block center, that the cells were evaluated at (symmetric
+    grids are bitwise symmetric, which downstream selection relies on).
     """
 
-    origin: tuple[float, float]
-    spacing: tuple[float, float]
     dims: tuple[int, int]
     probabilities: tuple[float, ...]
     stderr: tuple[float, ...]
@@ -437,15 +434,6 @@ class StabilityHeatmap:
         """(nx, ny) array view of the probabilities."""
         nx, ny = self.dims
         return np.array(self.probabilities, dtype=float).reshape(nx, ny)
-
-    def cell(self, ix: int, iy: int) -> tuple[float, float, float, float]:
-        """(offset_x, offset_y, p, stderr) of one cell."""
-        nx, ny = self.dims
-        if not (0 <= ix < nx and 0 <= iy < ny):
-            raise IndexError((ix, iy))
-        i = ix * ny + iy
-        ox, oy = self.offsets[i]
-        return (ox, oy, self.probabilities[i], self.stderr[i])
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +471,30 @@ def _check_keys(obj: dict, required: Iterable[str], optional: Iterable[str] = ()
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
 
 
+@dataclass(frozen=True, slots=True)
+class _NonFinite:
+    """A ``NaN``, ``Infinity`` or ``-Infinity`` token. JSON (RFC 8259) has
+    none of them, but Python's ``json`` reads them as floats; the loaders
+    read them as this instead, which no field accepts."""
+
+    token: str
+
+
+def _load_json(path, what: str):
+    """The document of a ``what`` JSON file, strictly: bad JSON and
+    non-finite tokens are ``SchemaError``s."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_constant=_NonFinite)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{what} file {path}: invalid JSON ({exc})") from exc
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, _NonFinite):
+            raise SchemaError(f"{where}: {key} must be finite, got {value.token}")
         raise SchemaError(f"{where}: field {key!r} must be a number")
     return float(value)
 
@@ -494,12 +503,7 @@ def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
     value = obj[key]
     if (not isinstance(value, list)) or len(value) != 2:
         raise SchemaError(f"{where}: field {key!r} must be a 2-element array")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{where}: field {key!r} must contain numbers")
-        out.append(float(v))
-    return (out[0], out[1])
+    return (_number({key: value[0]}, key, where), _number({key: value[1]}, key, where))
 
 
 _SPEC_FIELDS = ("id", "width", "depth", "height", "mass", "color")
@@ -514,10 +518,10 @@ def _block_spec_from_dict(obj: dict, where: str) -> BlockSpec:
     _check_keys(obj, _SPEC_FIELDS, where=where)
     if not isinstance(obj["id"], str) or not isinstance(obj["color"], str):
         raise SchemaError(f"{where}: id and color must be strings")
+    sizes = (_number(obj, "width", where), _number(obj, "depth", where),
+             _number(obj, "height", where), _number(obj, "mass", where))
     try:
-        return _shared_spec(obj["id"], _number(obj, "width", where),
-                            _number(obj, "depth", where), _number(obj, "height", where),
-                            _number(obj, "mass", where), obj["color"])
+        return _shared_spec(obj["id"], *sizes, obj["color"])
     except ValidationError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -540,8 +544,11 @@ def _blocks_from_list(entries: list, where: str) -> tuple[PlacedBlock, ...]:
         bwhere = f"{where}[{i}]"
         _check_keys(entry, _SPEC_FIELDS + ("center_x", "center_y"), where=bwhere)
         spec = _block_spec_from_dict({k: entry[k] for k in _SPEC_FIELDS}, bwhere)
-        placed.append(PlacedBlock(spec, _number(entry, "center_x", bwhere),
-                                  _number(entry, "center_y", bwhere)))
+        cx, cy = _number(entry, "center_x", bwhere), _number(entry, "center_y", bwhere)
+        try:
+            placed.append(PlacedBlock(spec, cx, cy))
+        except ValidationError as exc:
+            raise SchemaError(f"{bwhere}: {exc}") from exc
     return tuple(placed)
 
 
@@ -555,9 +562,9 @@ def _noise_from_dict(obj: dict, where: str) -> NoiseModel:
     k = obj.get("support_points")
     if "support_points" in obj and (isinstance(k, bool) or not isinstance(k, int)):
         raise SchemaError(f"{where}: field 'support_points' must be an integer")
+    sigma_s, sigma_a = _number(obj, "sigma_s", where), _number(obj, "sigma_a", where)
     try:
-        return NoiseModel(_number(obj, "sigma_s", where), _number(obj, "sigma_a", where),
-                          support_points=k)
+        return NoiseModel(sigma_s, sigma_a, support_points=k)
     except ValidationError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -612,12 +619,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"scenario file {path}: invalid JSON ({exc})") from exc
-    return parse_scenario(doc)
+    return parse_scenario(_load_json(path, "scenario"))
 
 
 def save_scenario(scenario: Scenario, path) -> None:

@@ -11,6 +11,10 @@ Both run through ``_count_hits``: it allocates one workspace per call,
 bounded by ``_WORKSPACE_BYTES`` whatever n or the grid, packs the worlds of
 every cell end to end into blocks of that workspace, and takes each block
 from seeds through draws to the stability criterion without allocating.
+Under discrete noise, when the k^rows support tuples of one axis fit a
+block and number at most n, a world's verdict is instead looked up in
+per-axis verdict tables, which each cell builds once from the criterion;
+the counts are the same bit for bit.
 Each heatmap cell draws from its own derived seed stream, so a heatmap is
 bit-identical to the cell-by-cell predictions, whether cells are computed
 serially or across any number of worker processes.
@@ -39,7 +43,7 @@ from .core import (
     derive_sample_seeds,
 )
 from .physics import _criterion
-from .scm import draw_exogenous_batch
+from .scm import _draw_support_indices, draw_exogenous_batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +91,16 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
     drawn: a Null query leaves out the actuation row. Every world keeps its
     own stream, so the counts do not depend on the block size or on how
     cells are packed.
+
+    Under k-point noise, when the T = k^rows support tuples of one axis
+    number at most n and fit one block, worlds are scored from per-axis
+    verdict tables instead. The criterion ANDs x-plane tests, which read
+    only x centers, with y-plane tests, so a world's x verdict depends only
+    on its x support indices, and likewise for y. A cell runs the criterion
+    once on its T tuples, computed as draws are; its worlds then need only
+    their support indices, and a world stands when the x table at its
+    base-k x code and the y table at its y code do. The counts are those
+    of the draws, bit for bit.
     """
     nb = len(belief)
     halves = belief.half_extents()
@@ -116,24 +130,80 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
     seeds, eps, work, values, flags = arrays
     centers = belief.centers().T[:, :, None]
 
+    def stable_worlds(m: int, runs) -> np.ndarray:
+        """Verdicts of the first m worlds, whose draws are in ``eps``."""
+        np.subtract(centers, eps[:, :nb, :m], out=eps[:, :nb, :m])
+        if place:
+            for cell, a, b in runs:
+                eps[:, nb, a:b] += aims[cell]
+        return _criterion(eps[..., :m], halves, masses, belief.support_half_extents,
+                          out=(values[..., :m], flags[..., :m]))[3]
+
+    k = noise.support_points
+    # (An empty tower's Null query draws nothing, so it takes the draw path.)
+    lookup = noise.discrete and rows > 0 and k ** rows <= min(n, size)
+    if lookup:
+        tuples = k ** rows
+        grid = noise.support_grid()
+        # [axis, r, t]: digit r of t in base k, row 0 the most significant
+        support = np.broadcast_to(np.unravel_index(np.arange(tuples), (k,) * rows),
+                                  (2, rows, tuples))
+
+        def verdict_tables(cells: list) -> dict:
+            """(2, T) x and y verdicts of each cell's support tuples, as many
+            cells per criterion call as the workspace holds."""
+            tables, per_call = {}, size // tuples
+            for i in range(0, len(cells), per_call):
+                runs = [(cell, j * tuples, (j + 1) * tuples)
+                        for j, cell in enumerate(cells[i:i + per_call])]
+                m = runs[-1][2]
+                for _, a, b in runs:
+                    np.take(grid, support, out=eps[..., a:b], mode="clip")
+                # scaled as ``draw_exogenous_batch`` scales its draws
+                eps[:, :nb, :m] *= noise.sigma_s
+                eps[:, nb:, :m] *= noise.sigma_a
+                stable_worlds(m, runs)
+                # the criterion's per-row ``inside`` flags, ANDed per axis
+                verdicts = np.logical_and.reduce(flags[0, ..., :m], axis=1)
+                tables.update((cell, verdicts[:, a:b]) for cell, a, b in runs)
+            return tables
+
     hits = [0] * len(actions)
+    tables = {}
     for start in range(0, total, size):
         m = min(size, total - start)
         # (cell, first, stop) of each cell's run of worlds inside the block
         runs = [(cell, max(start, cell * n) - start, min(start + m, (cell + 1) * n) - start)
                 for cell in range(start // n, (start + m - 1) // n + 1)]
+        if lookup:
+            # only the cells of this block hold tables
+            new = verdict_tables([cell for cell, _, _ in runs if cell not in tables])
+            tables = {cell: new[cell] if cell in new else tables[cell] for cell, _, _ in runs}
         for cell, a, b in runs:
             derive_sample_seeds(cell_seeds[cell], stream_label, b - a,
                                 start=start + a - cell * n, out=seeds[a:b])
-        draw_exogenous_batch(seeds[:m], nb, noise, out=eps[:, :, :m], work=work[..., :m])
-        np.subtract(centers, eps[:, :nb, :m], out=eps[:, :nb, :m])
-        if place:
+        if lookup:
+            indices = _draw_support_indices(seeds[:m], rows, k, *work[..., :m])
+            # each axis's base-k code, row 0 the most significant, into row 0
+            codes = indices[:, 0]
+            for r in range(1, rows):
+                codes *= np.uint64(k)
+                codes += indices[:, r]
+            codes = codes.view(np.int64)
+            # two rows of the criterion's flags take the looked-up verdicts
+            verdicts = flags[0, :, 0, :m]
             for cell, a, b in runs:
-                eps[:, nb, a:b] += aims[cell]
-        stable = _criterion(eps[..., :m], halves, masses, belief.support_half_extents,
-                            out=(values[..., :m], flags[..., :m]))[3]
-        for cell, a, b in runs:
-            hits[cell] += int(np.count_nonzero(stable[a:b]))
+                for axis in (0, 1):
+                    np.take(tables[cell][axis], codes[axis, a:b], out=verdicts[axis, a:b],
+                            mode="clip")
+                stable = np.logical_and(verdicts[0, a:b], verdicts[1, a:b],
+                                        out=verdicts[0, a:b])
+                hits[cell] += int(np.count_nonzero(stable))
+        else:
+            draw_exogenous_batch(seeds[:m], nb, noise, out=eps[:, :, :m], work=work[..., :m])
+            stable = stable_worlds(m, runs)
+            for cell, a, b in runs:
+                hits[cell] += int(np.count_nonzero(stable[a:b]))
     return hits
 
 
@@ -251,18 +321,7 @@ def stability_heatmap(belief: TowerState, new_block: BlockSpec,
                              repeat(n_per_cell), repeat("predict"))
             hits = [h for part in parts for h in part]
     probs, errs = zip(*(_proportion(h, n_per_cell) for h in hits))
-
-    if nx > 1:
-        spacing_x = grid[ny][0] - grid[0][0]
-    else:
-        spacing_x = 0.0
-    if ny > 1:
-        spacing_y = grid[1][1] - grid[0][1]
-    else:
-        spacing_y = 0.0
     return StabilityHeatmap(
-        origin=grid[0],
-        spacing=(spacing_x, spacing_y),
         dims=dims,
         probabilities=probs,
         stderr=errs,

@@ -108,7 +108,9 @@ def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
     rectangle's corners, each (2, B, n), and the (n,) verdict, the AND over
     all 2B (axis, interface) rows. ``out``, when given, is a float array
     (3, 2, B, n) and a bool array (2, 2, B, n) that take the COMs, corners
-    and comparisons in place of fresh arrays; only the verdict is new.
+    and comparisons in place of fresh arrays; only the verdict is new. The
+    bool array's first (2, B, n) half then holds each (axis, interface)
+    row's test ``lo < com < hi``, so its x rows AND to the x verdict.
 
     Above-group COMs are mass-weighted sums accumulated from the top block
     downward. The contact rectangle at interface k is the overlap of block

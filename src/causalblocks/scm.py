@@ -53,6 +53,7 @@ from .core import (
     _blocks_from_list,
     _blocks_to_list,
     _check_keys,
+    _load_json,
     _noise_from_dict,
     _noise_to_dict,
     _number,
@@ -150,6 +151,23 @@ def _support_indices(bits: np.ndarray, k: int, out: Optional[np.ndarray] = None)
     return np.right_shift(np.multiply(shifted, np.uint64(k), out=out), np.uint64(52), out=out)
 
 
+def _draw_support_indices(seeds: np.ndarray, rows: int, k: int,
+                          stream: Optional[np.ndarray] = None,
+                          scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """(2, rows, n) uint64 support indices of the draws keyed by ``seeds``,
+    axis-major like the draws: [0, r] from stream output 2r, [1, r] from
+    2r+1. ``stream`` and ``scratch``, uint64 (2 rows, n) arrays with
+    contiguous rows, take the stream and then the indices, which come back
+    as a view of ``scratch``; without them the arrays are fresh."""
+    bits = _splitmix64_stream(seeds, 2 * rows, stream, scratch)
+    # Read through its (2, R, n) view, the stream's rows map to the draws';
+    # the indices go to the scratch in the draws' order, so later steps
+    # read whole contiguous rows.
+    planes = bits.T.reshape(rows, 2, len(seeds)).transpose(1, 0, 2)
+    return _support_indices(planes, k, out=None if scratch is None
+                            else scratch.reshape(planes.shape))
+
+
 def draw_exogenous_batch(seeds: np.ndarray, nblocks: int, noise: NoiseModel,
                          out: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None
                          ) -> tuple[np.ndarray, Optional[np.ndarray]]:
@@ -175,20 +193,16 @@ def draw_exogenous_batch(seeds: np.ndarray, nblocks: int, noise: NoiseModel,
     for start in range(0, n, step):
         stop = min(start + step, n)
         stream, scratch = (None, None) if work is None else work[:, :, start:stop]
-        # (m, 2R) view of the (2R, m) stream: row r pairs outputs 2r, 2r+1.
-        bits = _splitmix64_stream(seeds[start:stop], 2 * rows, stream, scratch)
         block = eps[:, :, start:stop]
         if grid is None:
+            # (m, 2R) view of the (2R, m) stream: row r pairs outputs 2r, 2r+1.
+            bits = _splitmix64_stream(seeds[start:stop], 2 * rows, stream, scratch)
             pairs = bits.reshape(stop - start, rows, 2)
             _box_muller(pairs, out=block.transpose(2, 1, 0), scratch=None if scratch is None
                         else scratch.view(np.float64).T.reshape(pairs.shape))
         else:
-            # Read through its (2, R, m) view, the stream's rows map to
-            # ``block``'s; the indices go to the scratch in ``block``'s
-            # order, so the lookup reads and writes whole contiguous rows.
-            planes = bits.T.reshape(rows, 2, stop - start).transpose(1, 0, 2)
-            indices = _support_indices(planes, noise.support_points, out=None if scratch is None
-                                       else scratch.reshape(planes.shape))
+            indices = _draw_support_indices(seeds[start:stop], rows, noise.support_points,
+                                            stream, scratch)
             np.take(grid, indices.view(np.int64), out=block, mode="clip")
     eps[:, :nblocks] *= noise.sigma_s
     eps[:, nblocks:] *= noise.sigma_a
@@ -510,8 +524,11 @@ def action_from_dict(doc: dict, where: str = "action") -> Action:
     if kind == "place":
         _check_keys(doc, ("kind", "block", "offset_x", "offset_y"), where=where)
         spec = _block_spec_from_dict(doc["block"], f"{where}.block")
-        return PlaceAction(spec, _number(doc, "offset_x", where),
-                           _number(doc, "offset_y", where))
+        dx, dy = _number(doc, "offset_x", where), _number(doc, "offset_y", where)
+        try:
+            return PlaceAction(spec, dx, dy)
+        except ValidationError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}: unknown action kind {kind!r}")
 
 
@@ -587,9 +604,4 @@ def save_trace(trace: EpisodeTrace, path) -> None:
 
 
 def load_trace(path) -> EpisodeTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"trace file {path}: invalid JSON ({exc})") from exc
-    return trace_from_dict(doc)
+    return trace_from_dict(_load_json(path, "trace"))

@@ -5,6 +5,7 @@ fsum accumulation, scipy CDFs) so it shares no code path with the package
 under test.
 """
 
+import itertools
 import math
 
 from scipy.stats import norm
@@ -83,3 +84,48 @@ def discrete_noise_values(sigma, k):
     from scipy.special import ndtri
 
     return [sigma * float(ndtri((j + 0.5) / k)) for j in range(k)]
+
+
+def axis_stable(masses, centers, halves, support_half):
+    """One axis of ``oracle_stable``: bottom-up lists of block masses,
+    centers and half extents along the axis, the support interval centered
+    at the origin with half width ``support_half``. At every interface the
+    combined center of mass of the blocks above must fall strictly inside
+    the overlap of the two touching intervals."""
+    for k in range(len(masses)):
+        com = (math.fsum(m * c for m, c in zip(masses[k:], centers[k:]))
+               / math.fsum(masses[k:]))
+        if k == 0:
+            lo, hi = -support_half, support_half
+        else:
+            lo, hi = centers[k - 1] - halves[k - 1], centers[k - 1] + halves[k - 1]
+        lo = max(lo, centers[k] - halves[k])
+        hi = min(hi, centers[k] + halves[k])
+        if not lo < com < hi:
+            return False
+    return True
+
+
+def discrete_axis_probability(masses, centers, halves, support_half, sigmas, k):
+    """Exact probability that one axis passes ``axis_stable`` when block r
+    sits at ``centers[r] + sigmas[r] * v_r``, the v_r independent and
+    uniform over the k discrete unit values: the mean over all k^R tuples."""
+    values = discrete_noise_values(1.0, k)
+    hits = sum(axis_stable(masses, [c + s * v for c, s, v in zip(centers, sigmas, combo)],
+                           halves, support_half)
+               for combo in itertools.product(values, repeat=len(centers)))
+    return hits / k ** len(centers)
+
+
+def discrete_probability(blocks, support_half, sigmas, k):
+    """Exact stability probability of a tower of (mass, cx, cy, hx, hy)
+    blocks, block r displaced on each axis by ``sigmas[r]`` times an
+    independent discrete unit value. The tower stands when both axes pass,
+    and the axes share no draw, so it is P_x * P_y: 2 k^R towers are
+    enumerated instead of k^(2R)."""
+    masses = [b[0] for b in blocks]
+    return math.prod(
+        discrete_axis_probability(masses, [b[1 + axis] for b in blocks],
+                                  [b[3 + axis] for b in blocks], support_half[axis],
+                                  sigmas, k)
+        for axis in (0, 1))

@@ -256,7 +256,7 @@ def test_criterion_5_action_selection():
 
         # empty admissible set: argmax with lexicographic tie-break
         fixture = StabilityHeatmap(
-            origin=(-0.0125, 0.0), spacing=(0.0125, 0.0), dims=(4, 1),
+            dims=(4, 1),
             probabilities=(0.7, 0.7, 0.2, 0.7),
             stderr=(0.0, 0.0, 0.0, 0.0),
             offsets=((0.0125, -0.1), (-0.0125, 0.0), (0.0, 0.0), (-0.0125, -0.2)))

@@ -152,6 +152,29 @@ def test_predict_infinite_sigma_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_predict_nan_offset_is_usage_error(noisy_scenario, capsys):
+    code = main(["predict", "--scenario", noisy_scenario, "--action", "place b2 nan 0",
+                 "--n", "10", "--seed", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "offset_x must be finite" in captured.err
+    assert captured.out == ""
+
+
+def test_predict_nan_token_in_scenario_is_usage_error(tmp_path, capsys):
+    # Python's json reads NaN, which JSON does not have, as a float
+    text = json.dumps(scenario_to_dict(two_cube_scenario(0.02, 0.02)))
+    path = tmp_path / "nan.json"
+    path.write_text(text.replace('"center_x": 0.0', '"center_x": NaN', 1))
+    assert '"center_x": NaN' in path.read_text()
+    code = main(["predict", "--scenario", str(path), "--action", "null",
+                 "--n", "10", "--seed", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "center_x must be finite, got NaN" in captured.err
+    assert captured.out == ""
+
+
 # --- heatmap ------------------------------------------------------------------
 
 
@@ -328,6 +351,17 @@ def test_explain_trace_without_candidates_is_usage_error(zero_scenario, tmp_path
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: every candidate equals its factual value")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_explain_non_finite_token_in_trace_is_usage_error(token, tmp_path, capsys):
+    path, _ = make_failure_trace(tmp_path)
+    text = path.read_text()
+    assert '"offset_x": 0.06' in text
+    path.write_text(text.replace('"offset_x": 0.06', f'"offset_x": {token}', 1))
+    code = main(["explain", "--trace", str(path), "--n", "10", "--seed", "1"])
+    assert code == 2
+    assert f"offset_x must be finite, got {token}" in capsys.readouterr().err
 
 
 def test_explain_missing_trace_file(tmp_path):

@@ -126,11 +126,11 @@ def test_support_grid_matches_ndtri():
 
 def test_heatmap_invariants():
     with pytest.raises(ValidationError):
-        StabilityHeatmap(origin=(0, 0), spacing=(0, 0), dims=(2, 1),
+        StabilityHeatmap(dims=(2, 1),
                          probabilities=(0.5,), stderr=(0.0, 0.0),
                          offsets=((0.0, 0.0), (1.0, 0.0)))
     with pytest.raises(ValidationError):
-        StabilityHeatmap(origin=(0, 0), spacing=(0, 0), dims=(1, 1),
+        StabilityHeatmap(dims=(1, 1),
                          probabilities=(1.5,), stderr=(0.0,),
                          offsets=((0.0, 0.0),))
 

@@ -29,7 +29,7 @@ from causalblocks.scenarios import cube, column, random_scenario, two_cube_scena
 
 ZERO = NoiseModel(0.0, 0.0)
 
-from oracles import two_cube_place_probability
+from oracles import discrete_probability, tower_tuples, two_cube_place_probability
 
 
 def place_b2(scenario, dx=0.0, dy=0.0):
@@ -203,6 +203,155 @@ def test_null_blocks_draw_only_the_sensing_rows(k, monkeypatch):
     # the allocating path keeps drawing the actuation row
     ws, wa = draw_exogenous_batch(derive_sample_seeds(1, "predict", 50), 3, noise)
     assert drawn == [(50, 2 * 4)] and wa.shape == (50, 2)
+
+
+def _full_draw_hits(tower, action, noise, cell_seed, n):
+    """Stable worlds among n full (B+1)-row draws: the reference count."""
+    nb = len(tower)
+    ws, wa = draw_exogenous_batch(derive_sample_seeds(cell_seed, "predict", n), nb, noise)
+    centers = tower.centers()[None, :, :] - ws
+    halves, masses = tower.half_extents(), tower.masses()
+    if isinstance(action, PlaceAction):
+        tx, ty = tower.top_center()
+        landing = np.array([tx + action.offset_x, ty + action.offset_y]) + wa
+        centers = np.concatenate([centers, landing[:, None, :]], axis=1)
+        halves = np.concatenate([halves, [action.spec.half_extents]])
+        masses = np.append(masses, action.spec.mass)
+    return int(np.count_nonzero(stability_mask(centers, halves, masses,
+                                               tower.support_half_extents)))
+
+
+def _counting_criterion(monkeypatch):
+    """Wrap the criterion ``_count_hits`` calls; returns the list of world
+    counts of its calls."""
+    import causalblocks.inference as inference_mod
+
+    worlds = []
+    criterion = inference_mod._criterion
+
+    def counting(planes, *args, **kwargs):
+        worlds.append(planes.shape[2])
+        return criterion(planes, *args, **kwargs)
+
+    monkeypatch.setattr(inference_mod, "_criterion", counting)
+    return worlds
+
+
+@pytest.mark.parametrize("place", [False, True])
+@pytest.mark.parametrize("excess", [-1, 0, 1])
+def test_verdict_table_boundary_counts_equal_full_draws(place, excess, monkeypatch):
+    # T = k^rows support tuples per axis against a workspace block of
+    # T - excess worlds: at block - 1 and block the worlds are looked up in
+    # verdict tables, at block + 1 they are drawn, and either way each cell
+    # counts exactly the worlds that stand in the full draws.
+    import causalblocks.inference as inference_mod
+
+    tower = column([cube("a"), cube("b", size=0.08)], [(0.0, 0.0), (0.012, -0.008)])
+    new_block = cube("c", size=0.06)
+    noise = NoiseModel(0.03, 0.02, support_points=3)
+    rows = len(tower) + place
+    tuples = 3 ** rows
+    block = tuples - excess
+    monkeypatch.setattr(inference_mod, "_WORKSPACE_BYTES",
+                        block * inference_mod._bytes_per_world(rows))
+    worlds = _counting_criterion(monkeypatch)
+    actions = ([PlaceAction(new_block, 0.01, 0.0), PlaceAction(new_block, -0.005, 0.004)]
+               if place else [NullAction()] * 2)
+    cell_seeds = [71, derive_sample_seed(71, "other-cell", 0)]
+    n = 3 * block + 2
+    hits = inference_mod._count_hits(tower, actions, cell_seeds, noise, n, "predict")
+    for action, cell_seed, cell_hits in zip(actions, cell_seeds, hits):
+        assert cell_hits == _full_draw_hits(tower, action, noise, cell_seed, n)
+    assert 0 < hits[0] < n
+    assert sum(worlds) == (2 * tuples if excess < 1 else 2 * n)
+
+
+@pytest.mark.parametrize("n", [27, 32, 55])
+def test_verdict_tables_of_packed_cells_equal_full_draws(n, monkeypatch):
+    # Blocks of 67 worlds hold two or three cells of n worlds, and the
+    # tables of a block's new cells are built two per criterion call (67 //
+    # 27); every cell's table is built once and its count is exact.
+    import causalblocks.inference as inference_mod
+
+    tower = column([cube("a"), cube("b", size=0.08)], [(0.0, 0.0), (0.012, -0.008)])
+    new_block = cube("c", size=0.06)
+    noise = NoiseModel(0.03, 0.02, support_points=3)
+    monkeypatch.setattr(inference_mod, "_WORKSPACE_BYTES", 67 * inference_mod._bytes_per_world(3))
+    worlds = _counting_criterion(monkeypatch)
+    actions = [PlaceAction(new_block, 0.004 * i - 0.012, 0.002 * i) for i in range(7)]
+    cell_seeds = [derive_sample_seed(5, "cell", i) for i in range(7)]
+    hits = inference_mod._count_hits(tower, actions, cell_seeds, noise, n, "predict")
+    assert hits == [_full_draw_hits(tower, a, noise, s, n) for a, s in zip(actions, cell_seeds)]
+    assert sum(worlds) == 7 * 27 and max(worlds) == 2 * 27
+
+
+def test_discrete_prediction_runs_the_kernel_on_the_tables_only(monkeypatch):
+    # A 3-block Place under 3-point noise has 3^4 = 81 support tuples per
+    # axis: a 20 000-world prediction runs the criterion on those alone,
+    # and a heatmap on those of each cell. A silent fall back to the draws
+    # would run it on every world.
+    worlds = _counting_criterion(monkeypatch)
+    tower = column([cube("a"), cube("b"), cube("c")], [(0.0, 0.0), (0.02, 0.0), (0.02, 0.02)])
+    noise = NoiseModel(0.03, 0.02, support_points=3)
+    est = predict_stability(tower, PlaceAction(cube("d"), 0.0, 0.0), noise, 20_000, 9)
+    assert worlds == [81] and 0.0 < est.p < 1.0
+    worlds.clear()
+    grid = candidate_grid(tower, cube("d"), 3, 1)
+    stability_heatmap(tower, cube("d"), grid, noise, 1000, 9, dims=(3, 1))
+    assert worlds == [3 * 81]
+    worlds.clear()
+    # Gaussian noise, and discrete noise with more tuples than worlds, draw
+    predict_stability(tower, PlaceAction(cube("d"), 0.0, 0.0), NoiseModel(0.02, 0.02), 500, 9)
+    predict_stability(tower, PlaceAction(cube("d"), 0.0, 0.0), noise, 80, 9)
+    assert worlds == [500, 80]
+
+
+def _leaning_tower(seed, nblocks):
+    """A stack of cuboids, each shifted up to 15 mm off the one below, and
+    a block to place on it."""
+    rng = np.random.default_rng(seed)
+    specs = [BlockSpec(f"b{i + 1}", *map(float, rng.uniform(0.06, 0.14, 2)), 0.05,
+                       float(rng.uniform(0.1, 0.5)))
+             for i in range(nblocks + 1)]
+    offsets = np.cumsum(rng.uniform(-0.015, 0.015, (nblocks, 2)), axis=0)
+    return column(specs[:nblocks], offsets.tolist()), specs[nblocks]
+
+
+@pytest.mark.parametrize("k, nblocks", [(3, b) for b in range(1, 7)]
+                         + [(5, b) for b in range(1, 5)])
+def test_discrete_prediction_matches_exact_per_axis_enumeration(k, nblocks):
+    # P(stable) = P_x * P_y, each enumerated exactly over the k^R support
+    # tuples of one axis. The Monte-Carlo estimate of 20 000 worlds must lie
+    # within 4.5 binomial standard errors of it, and be exact at 0 and 1.
+    tower, new_block = _leaning_tower(100 * k + nblocks, nblocks)
+    sigma_s, sigma_a = 0.03, 0.02
+    noise = NoiseModel(sigma_s, sigma_a, support_points=k)
+    blocks = tower_tuples(tower)
+    tx, ty = tower.top_center()
+    hx, hy = new_block.half_extents
+    n = 20_000
+    for action, rows, sigmas in (
+            (NullAction(), blocks, [-sigma_s] * nblocks),
+            (PlaceAction(new_block, 0.005, -0.004),
+             blocks + [(new_block.mass, tx + 0.005, ty - 0.004, hx, hy)],
+             [-sigma_s] * nblocks + [sigma_a])):
+        exact = discrete_probability(rows, tower.support_half_extents, sigmas, k)
+        est = predict_stability(tower, action, noise, n, 17 * nblocks + k)
+        assert abs(est.p - exact) <= 4.5 * math.sqrt(exact * (1.0 - exact) / n), (action, exact)
+
+
+def test_discrete_heatmap_row_matches_exact_per_axis_enumeration():
+    tower, new_block = _leaning_tower(7, 4)
+    noise = NoiseModel(0.03, 0.02, support_points=3)
+    grid = candidate_grid(tower, new_block, 5, 1)
+    n = 20_000
+    hm = stability_heatmap(tower, new_block, grid, noise, n, 23, dims=(5, 1))
+    tx, ty = tower.top_center()
+    hx, hy = new_block.half_extents
+    for (ox, oy), p in zip(grid, hm.probabilities):
+        rows = tower_tuples(tower) + [(new_block.mass, tx + ox, ty + oy, hx, hy)]
+        exact = discrete_probability(rows, tower.support_half_extents, [-0.03] * 4 + [0.02], 3)
+        assert abs(p - exact) <= 4.5 * math.sqrt(exact * (1.0 - exact) / n), (ox, exact)
 
 
 # --- candidate_grid --------------------------------------------------------------
@@ -454,7 +603,7 @@ def fixture_heatmap(probs, offsets, dims=None):
     n = len(probs)
     dims = dims or (n, 1)
     return StabilityHeatmap(
-        origin=offsets[0], spacing=(0.0125, 0.0), dims=dims,
+        dims=dims,
         probabilities=tuple(probs), stderr=tuple(0.0 for _ in probs),
         offsets=tuple(offsets))
 

@@ -17,7 +17,7 @@ from causalblocks import (
 from causalblocks.physics import outcome_mask, stability_mask
 from causalblocks.scenarios import cube, column, random_scenario
 
-from oracles import oracle_stable, tower_tuples
+from oracles import axis_stable, oracle_stable, tower_tuples
 
 
 def blocks_at(xs, size=0.1, masses=None):
@@ -165,6 +165,45 @@ def test_criterion_matches_oracle_on_random_towers(seed, data):
             com = (math.fsum(b[0] * b[1] for b in group) / mass,
                    math.fsum(b[0] * b[2] for b in group) / mass)
             assert check.com_above == pytest.approx(com, rel=0.0, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       scale=st.sampled_from([0.002, 0.01, 0.03]), place=st.booleans())
+def test_verdict_is_the_and_of_per_axis_verdicts(seed, scale, place):
+    # The x tests read only x centers and the y tests only y centers. An
+    # axis on its own is judged with the other axis's blocks all centered
+    # at 0, where every test of that axis passes; pairing each world's x
+    # plane with another world's y plane must then AND their verdicts.
+    sc = random_scenario(seed, max_blocks=6)
+    tower = sc.tower
+    rng = np.random.default_rng(seed)
+    centers = tower.centers() + rng.normal(0.0, scale, (200, len(tower), 2))
+    halves, masses = tower.half_extents(), tower.masses()
+    if place:
+        landing = np.array(tower.top_center()) + rng.normal(0.0, scale, (200, 1, 2))
+        centers = np.concatenate([centers, landing], axis=1)
+        halves = np.concatenate([halves, [sc.pending_blocks[0].half_extents]])
+        masses = np.append(masses, sc.pending_blocks[0].mass)
+    support = tower.support_half_extents
+
+    def verdicts(batch):
+        return stability_mask(batch, halves, masses, support)
+
+    x_only, y_only = centers.copy(), centers.copy()
+    x_only[..., 1] = 0.0
+    y_only[..., 0] = 0.0
+    assert verdicts(np.zeros_like(centers)).all()
+    x_ok, y_ok = verdicts(x_only), verdicts(y_only)
+    assert np.array_equal(verdicts(centers), x_ok & y_ok)
+    shift = np.roll(np.arange(len(centers)), 1)
+    mixed = centers.copy()
+    mixed[..., 1] = centers[shift, :, 1]
+    assert np.array_equal(verdicts(mixed), x_ok & y_ok[shift])
+    for i in range(0, len(centers), 40):
+        for axis, ok in ((0, x_ok), (1, y_ok)):
+            assert ok[i] == axis_stable(masses.tolist(), centers[i, :, axis].tolist(),
+                                        halves[:, axis].tolist(), support[axis])
 
 
 # --- transition ---------------------------------------------------------------
