@@ -490,12 +490,19 @@ def _load_json(path, what: str):
             raise SchemaError(f"{what} file {path}: invalid JSON ({exc})") from exc
 
 
+def _not_a_number(value, key: str, where: str, expected: str) -> SchemaError:
+    """The error for a ``value`` of field ``key`` that is no number: a
+    non-finite token names itself, anything else says the field ``must
+    {expected}``."""
+    if isinstance(value, _NonFinite):
+        return SchemaError(f"{where}: {key} must be finite, got {value.token}")
+    return SchemaError(f"{where}: field {key!r} must {expected}")
+
+
 def _number(obj: dict, key: str, where: str) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        if isinstance(value, _NonFinite):
-            raise SchemaError(f"{where}: {key} must be finite, got {value.token}")
-        raise SchemaError(f"{where}: field {key!r} must be a number")
+        raise _not_a_number(value, key, where, "be a number")
     return float(value)
 
 
@@ -503,7 +510,12 @@ def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
     value = obj[key]
     if (not isinstance(value, list)) or len(value) != 2:
         raise SchemaError(f"{where}: field {key!r} must be a 2-element array")
-    return (_number({key: value[0]}, key, where), _number({key: value[1]}, key, where))
+    out = []
+    for v in value:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise _not_a_number(v, key, where, "contain numbers")
+        out.append(float(v))
+    return (out[0], out[1])
 
 
 _SPEC_FIELDS = ("id", "width", "depth", "height", "mass", "color")

@@ -12,9 +12,11 @@ bounded by ``_WORKSPACE_BYTES`` whatever n or the grid, packs the worlds of
 every cell end to end into blocks of that workspace, and takes each block
 from seeds through draws to the stability criterion without allocating.
 Under discrete noise, when the k^rows support tuples of one axis fit a
-block and number at most n, a world's verdict is instead looked up in
-per-axis verdict tables, which each cell builds once from the criterion;
-the counts are the same bit for bit.
+block and a cell has many more worlds than tuples, a world's verdict is
+instead looked up in per-axis verdict tables, which each cell builds once
+from the criterion; the counts are the same bit for bit. Those tables, two
+bool arrays of k^rows per cell, are the only arrays allocated besides the
+workspace.
 Each heatmap cell draws from its own derived seed stream, so a heatmap is
 bit-identical to the cell-by-cell predictions, whether cells are computed
 serially or across any number of worker processes.
@@ -60,6 +62,14 @@ class PredictionEstimate:
 # does not grow with n or the grid and concurrent callers share nothing.
 _WORKSPACE_BYTES = 1 << 21
 
+# A cell's discrete-noise worlds are looked up in verdict tables (see
+# ``_count_hits``) only when it has at least this many worlds per support
+# tuple and this many worlds in all: below either, building the tables, a
+# criterion call per cell, costs more than it saves. Timed per prediction
+# and per 9x9 heatmap, 1-6 blocks, k = 3-5.
+_TABLE_WORLDS_PER_TUPLE = 8
+_TABLE_MIN_WORLDS = 3000
+
 
 def _workspace_layout(rows: int) -> tuple:
     """Leading shape and dtype of each workspace array, per world, for the
@@ -92,15 +102,18 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
     own stream, so the counts do not depend on the block size or on how
     cells are packed.
 
-    Under k-point noise, when the T = k^rows support tuples of one axis
-    number at most n and fit one block, worlds are scored from per-axis
-    verdict tables instead. The criterion ANDs x-plane tests, which read
-    only x centers, with y-plane tests, so a world's x verdict depends only
-    on its x support indices, and likewise for y. A cell runs the criterion
-    once on its T tuples, computed as draws are; its worlds then need only
-    their support indices, and a world stands when the x table at its
-    base-k x code and the y table at its y code do. The counts are those
-    of the draws, bit for bit.
+    Under k-point noise, when the T = k^rows support tuples of one axis fit
+    one block and n is at least ``_TABLE_WORLDS_PER_TUPLE`` T and
+    ``_TABLE_MIN_WORLDS``, worlds are scored from per-axis verdict tables
+    instead. The criterion ANDs x-plane tests, which read only x centers,
+    with y-plane tests, so a world's x verdict depends only on its x
+    support indices, and likewise for y. A cell runs the criterion once on
+    its T tuples, computed as draws are; its worlds then need only their
+    support indices, and a world stands when the x table at its base-k x
+    code and the y table at its y code do. The counts are those of the
+    draws, bit for bit. A cell's tables, 2T bools outside the workspace,
+    are built when its first world is reached and dropped after its last
+    block.
     """
     nb = len(belief)
     halves = belief.half_extents()
@@ -140,33 +153,26 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
                           out=(values[..., :m], flags[..., :m]))[3]
 
     k = noise.support_points
-    # (An empty tower's Null query draws nothing, so it takes the draw path.)
-    lookup = noise.discrete and rows > 0 and k ** rows <= min(n, size)
+    # The tables are built in the workspace, so the tuples must fit one
+    # block. (An empty tower's Null query draws nothing, so it takes the
+    # draw path.)
+    lookup = (noise.discrete and rows > 0 and k ** rows <= size
+              and max(_TABLE_WORLDS_PER_TUPLE * k ** rows, _TABLE_MIN_WORLDS) <= n)
     if lookup:
         tuples = k ** rows
         grid = noise.support_grid()
-        # [axis, r, t]: digit r of t in base k, row 0 the most significant
-        support = np.broadcast_to(np.unravel_index(np.arange(tuples), (k,) * rows),
-                                  (2, rows, tuples))
 
-        def verdict_tables(cells: list) -> dict:
-            """(2, T) x and y verdicts of each cell's support tuples, as many
-            cells per criterion call as the workspace holds."""
-            tables, per_call = {}, size // tuples
-            for i in range(0, len(cells), per_call):
-                runs = [(cell, j * tuples, (j + 1) * tuples)
-                        for j, cell in enumerate(cells[i:i + per_call])]
-                m = runs[-1][2]
-                for _, a, b in runs:
-                    np.take(grid, support, out=eps[..., a:b], mode="clip")
-                # scaled as ``draw_exogenous_batch`` scales its draws
-                eps[:, :nb, :m] *= noise.sigma_s
-                eps[:, nb:, :m] *= noise.sigma_a
-                stable_worlds(m, runs)
-                # the criterion's per-row ``inside`` flags, ANDed per axis
-                verdicts = np.logical_and.reduce(flags[0, ..., :m], axis=1)
-                tables.update((cell, verdicts[:, a:b]) for cell, a, b in runs)
-            return tables
+        def verdict_table(cell: int) -> np.ndarray:
+            """(2, T) x and y verdicts of the cell's support tuples."""
+            for r in range(rows):
+                # digit r of tuple t in base k, row 0 the most significant
+                eps[:, r, :tuples].reshape(2, k ** r, k, -1)[...] = grid[:, None]
+            # scaled as ``draw_exogenous_batch`` scales its draws
+            eps[:, :nb, :tuples] *= noise.sigma_s
+            eps[:, nb:, :tuples] *= noise.sigma_a
+            stable_worlds(tuples, [(cell, 0, tuples)])
+            # the criterion's per-row ``inside`` flags, ANDed per axis
+            return np.logical_and.reduce(flags[0, ..., :tuples], axis=1)
 
     hits = [0] * len(actions)
     tables = {}
@@ -177,8 +183,8 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
                 for cell in range(start // n, (start + m - 1) // n + 1)]
         if lookup:
             # only the cells of this block hold tables
-            new = verdict_tables([cell for cell, _, _ in runs if cell not in tables])
-            tables = {cell: new[cell] if cell in new else tables[cell] for cell, _, _ in runs}
+            tables = {cell: tables[cell] if cell in tables else verdict_table(cell)
+                      for cell, _, _ in runs}
         for cell, a, b in runs:
             derive_sample_seeds(cell_seeds[cell], stream_label, b - a,
                                 start=start + a - cell * n, out=seeds[a:b])

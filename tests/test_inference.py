@@ -258,7 +258,7 @@ def test_verdict_table_boundary_counts_equal_full_draws(place, excess, monkeypat
     actions = ([PlaceAction(new_block, 0.01, 0.0), PlaceAction(new_block, -0.005, 0.004)]
                if place else [NullAction()] * 2)
     cell_seeds = [71, derive_sample_seed(71, "other-cell", 0)]
-    n = 3 * block + 2
+    n = inference_mod._TABLE_MIN_WORLDS
     hits = inference_mod._count_hits(tower, actions, cell_seeds, noise, n, "predict")
     for action, cell_seed, cell_hits in zip(actions, cell_seeds, hits):
         assert cell_hits == _full_draw_hits(tower, action, noise, cell_seed, n)
@@ -266,23 +266,48 @@ def test_verdict_table_boundary_counts_equal_full_draws(place, excess, monkeypat
     assert sum(worlds) == (2 * tuples if excess < 1 else 2 * n)
 
 
-@pytest.mark.parametrize("n", [27, 32, 55])
-def test_verdict_tables_of_packed_cells_equal_full_draws(n, monkeypatch):
-    # Blocks of 67 worlds hold two or three cells of n worlds, and the
-    # tables of a block's new cells are built two per criterion call (67 //
-    # 27); every cell's table is built once and its count is exact.
+@pytest.mark.parametrize("nblocks", [3, 5])
+@pytest.mark.parametrize("short", [1, 0])
+def test_verdict_table_rule_in_worlds_counts_equal_full_draws(nblocks, short, monkeypatch):
+    # A cell takes the tables from max(8 T, 3000) worlds on, and draws one
+    # world short of that: T = 81 is held back by the 3000-world floor,
+    # T = 729 by the 8 worlds per tuple. The counts are those of the full
+    # draws on both sides.
+    import causalblocks.inference as inference_mod
+
+    tower = column([cube(f"b{i}") for i in range(nblocks)],
+                   [(0.01 * i, -0.005 * i) for i in range(nblocks)])
+    noise = NoiseModel(0.03, 0.03, support_points=3)
+    tuples = 3 ** (nblocks + 1)
+    n = max(inference_mod._TABLE_WORLDS_PER_TUPLE * tuples,
+            inference_mod._TABLE_MIN_WORLDS) - short
+    worlds = _counting_criterion(monkeypatch)
+    action = PlaceAction(cube("n"), 0.03, 0.0)
+    (hits,) = inference_mod._count_hits(tower, [action], [13], noise, n, "predict")
+    assert hits == _full_draw_hits(tower, action, noise, 13, n)
+    assert 0 < hits < n
+    assert sum(worlds) == (n if short else tuples)
+
+
+@pytest.mark.parametrize("n", [216, 250, 333])
+def test_verdict_tables_of_cells_sharing_blocks_equal_full_draws(n, monkeypatch):
+    # Blocks of 700 worlds hold two to four cells of n worlds, and a cell
+    # may span two blocks; every cell builds its tables once, in its own
+    # criterion call, and its count is exact. (The floor on worlds per cell
+    # is lifted so that small cells share blocks.)
     import causalblocks.inference as inference_mod
 
     tower = column([cube("a"), cube("b", size=0.08)], [(0.0, 0.0), (0.012, -0.008)])
     new_block = cube("c", size=0.06)
     noise = NoiseModel(0.03, 0.02, support_points=3)
-    monkeypatch.setattr(inference_mod, "_WORKSPACE_BYTES", 67 * inference_mod._bytes_per_world(3))
+    monkeypatch.setattr(inference_mod, "_WORKSPACE_BYTES", 700 * inference_mod._bytes_per_world(3))
+    monkeypatch.setattr(inference_mod, "_TABLE_MIN_WORLDS", 0)
     worlds = _counting_criterion(monkeypatch)
     actions = [PlaceAction(new_block, 0.004 * i - 0.012, 0.002 * i) for i in range(7)]
     cell_seeds = [derive_sample_seed(5, "cell", i) for i in range(7)]
     hits = inference_mod._count_hits(tower, actions, cell_seeds, noise, n, "predict")
     assert hits == [_full_draw_hits(tower, a, noise, s, n) for a, s in zip(actions, cell_seeds)]
-    assert sum(worlds) == 7 * 27 and max(worlds) == 2 * 27
+    assert worlds == [27] * 7
 
 
 def test_discrete_prediction_runs_the_kernel_on_the_tables_only(monkeypatch):
@@ -297,13 +322,13 @@ def test_discrete_prediction_runs_the_kernel_on_the_tables_only(monkeypatch):
     assert worlds == [81] and 0.0 < est.p < 1.0
     worlds.clear()
     grid = candidate_grid(tower, cube("d"), 3, 1)
-    stability_heatmap(tower, cube("d"), grid, noise, 1000, 9, dims=(3, 1))
-    assert worlds == [3 * 81]
+    stability_heatmap(tower, cube("d"), grid, noise, 3000, 9, dims=(3, 1))
+    assert worlds == [81] * 3
     worlds.clear()
-    # Gaussian noise, and discrete noise with more tuples than worlds, draw
+    # Gaussian noise, and discrete noise on too few worlds, draw
     predict_stability(tower, PlaceAction(cube("d"), 0.0, 0.0), NoiseModel(0.02, 0.02), 500, 9)
-    predict_stability(tower, PlaceAction(cube("d"), 0.0, 0.0), noise, 80, 9)
-    assert worlds == [500, 80]
+    predict_stability(tower, PlaceAction(cube("d"), 0.0, 0.0), noise, 2000, 9)
+    assert worlds == [500, 2000]
 
 
 def _leaning_tower(seed, nblocks):
