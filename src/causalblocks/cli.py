@@ -140,8 +140,7 @@ def _build_heatmap(args, scenario: Scenario, block):
     nx, ny = _parse_grid(args.grid)
     grid = candidate_grid(scenario.tower, block, nx, ny)
     return stability_heatmap(scenario.tower, block, grid, scenario.noise,
-                             args.n, args.seed, workers=args.workers,
-                             dims=(nx, ny))
+                             args.n, args.seed, dims=(nx, ny))
 
 
 def cmd_heatmap(args) -> int:
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     hea.add_argument("--seed", required=True, type=int)
     hea.add_argument("--out", required=True, help="CSV output path")
     hea.add_argument("--pgm", default=None, help="optional PGM output path")
-    hea.add_argument("--workers", type=_positive_int, default=1)
     hea.set_defaults(func=cmd_heatmap)
 
     sel = sub.add_parser("select", help="pick the next placement offset")
@@ -236,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--n", type=_positive_int, default=2000)
     sel.add_argument("--seed", required=True, type=int)
     sel.add_argument("--out", default=None, help="optional heatmap CSV dump")
-    sel.add_argument("--workers", type=_positive_int, default=1)
     sel.set_defaults(func=cmd_select)
 
     exp = sub.add_parser("explain", help="counterfactual explanations for a trace")

@@ -51,7 +51,7 @@ class SchemaError(ValidationError):
 #   return x XOR (x >> 31)
 #
 # Because each sample owns its seed, estimates are bit-identical no matter
-# how samples are batched or scheduled across workers.
+# how samples are batched.
 
 _MASK64 = (1 << 64) - 1
 _SM_GAMMA = 0x9E3779B97F4A7C15
@@ -243,11 +243,6 @@ class TowerState:
     def half_extents(self) -> np.ndarray:
         """(B, 2) array of footprint half extents, bottom first."""
         return np.array([b.spec.half_extents for b in self.blocks], dtype=float).reshape(len(self.blocks), 2)
-
-    def z_centers(self) -> np.ndarray:
-        """Vertical centers implied by stacking order."""
-        heights = np.array([b.spec.height for b in self.blocks], dtype=float)
-        return np.cumsum(heights) - heights / 2.0
 
     def with_centers(self, centers: np.ndarray) -> "TowerState":
         """Copy of this tower with block centers replaced (same specs)."""
@@ -499,23 +494,30 @@ def _not_a_number(value, key: str, where: str, expected: str) -> SchemaError:
     return SchemaError(f"{where}: field {key!r} must {expected}")
 
 
-def _number(obj: dict, key: str, where: str) -> float:
-    value = obj[key]
+def _float(value, key: str, where: str, expected: str) -> float:
+    """``value`` of field ``key`` as a finite float. An int too large for a
+    float and a literal such as ``1e400``, which ``json`` reads as inf, are
+    out of range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _not_a_number(value, key, where, "be a number")
-    return float(value)
+        raise _not_a_number(value, key, where, expected)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if math.isinf(number):
+        raise SchemaError(f"{where}: {key} is out of float range")
+    return number
+
+
+def _number(obj: dict, key: str, where: str) -> float:
+    return _float(obj[key], key, where, "be a number")
 
 
 def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
     value = obj[key]
     if (not isinstance(value, list)) or len(value) != 2:
         raise SchemaError(f"{where}: field {key!r} must be a 2-element array")
-    out = []
-    for v in value:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise _not_a_number(v, key, where, "contain numbers")
-        out.append(float(v))
-    return (out[0], out[1])
+    return tuple(_float(v, key, where, "contain numbers") for v in value)
 
 
 _SPEC_FIELDS = ("id", "width", "depth", "height", "mass", "color")

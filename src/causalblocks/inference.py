@@ -18,8 +18,7 @@ from the criterion; the counts are the same bit for bit. Those tables, two
 bool arrays of k^rows per cell, are the only arrays allocated besides the
 workspace.
 Each heatmap cell draws from its own derived seed stream, so a heatmap is
-bit-identical to the cell-by-cell predictions, whether cells are computed
-serially or across any number of worker processes.
+bit-identical to the cell-by-cell predictions.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -274,58 +272,29 @@ def candidate_grid(belief: TowerState, new_block: BlockSpec, nx: int, ny: int
     return list(_grid_cells(extent_x, extent_y, nx, ny))
 
 
-def _infer_dims(grid: Sequence[tuple[float, float]]) -> tuple[int, int]:
-    xs = list(dict.fromkeys(x for x, _ in grid))
-    ys = list(dict.fromkeys(y for _, y in grid))
-    if len(xs) * len(ys) == len(grid):
-        expected = [(x, y) for x in xs for y in ys]
-        if all(a == b for a, b in zip(expected, grid)):
-            return (len(xs), len(ys))
-    return (len(grid), 1)
-
-
 def stability_heatmap(belief: TowerState, new_block: BlockSpec,
                       grid: Sequence[tuple[float, float]], noise: NoiseModel,
-                      n_per_cell: int, seed: int, workers: int = 1,
-                      dims: Optional[tuple[int, int]] = None) -> StabilityHeatmap:
-    """``predict_stability`` of a Place at every grid offset.
+                      n_per_cell: int, seed: int,
+                      dims: tuple[int, int]) -> StabilityHeatmap:
+    """``predict_stability`` of a Place at every offset of the nx-by-ny
+    ``grid`` (``dims`` = (nx, ny)).
 
     Cell i is the prediction with master seed ``derive_sample_seed(seed,
-    "heatmap-cell", i)``, bit for bit, so results do not depend on
-    ``workers``; a pool of ``workers`` processes scores that many
-    contiguous slices of cells. ``dims`` may be given when the grid is a
-    known nx-by-ny product; otherwise it is inferred (a non-product grid is
-    treated as a single row).
+    "heatmap-cell", i)``, bit for bit; all cells are scored in one
+    ``_count_hits`` call.
     """
     grid = list(grid)
     if not grid:
         raise ValidationError("heatmap grid must be non-empty")
     if n_per_cell < 1:
         raise ValidationError("n_per_cell must be >= 1")
-    if workers < 1:
-        raise ValidationError("workers must be >= 1")
-    if dims is None:
-        dims = _infer_dims(grid)
     nx, ny = dims
     if nx * ny != len(grid):
         raise ValidationError(f"dims {dims} do not cover {len(grid)} grid cells")
 
     actions = [PlaceAction(new_block, ox, oy) for ox, oy in grid]
     cell_seeds = derive_sample_seeds(seed, "heatmap-cell", len(grid)).tolist()
-    if workers == 1:
-        hits = _count_hits(belief, actions, cell_seeds, noise, n_per_cell, "predict")
-    else:
-        # Imported here: the pool pulls in multiprocessing (about 40 modules
-        # and 1.4 MB), which callers that never ask for workers do not need.
-        from concurrent.futures import ProcessPoolExecutor
-
-        cuts = [len(grid) * k // workers for k in range(workers + 1)]
-        slices = [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            parts = pool.map(_count_hits, repeat(belief), [actions[s] for s in slices],
-                             [cell_seeds[s] for s in slices], repeat(noise),
-                             repeat(n_per_cell), repeat("predict"))
-            hits = [h for part in parts for h in part]
+    hits = _count_hits(belief, actions, cell_seeds, noise, n_per_cell, "predict")
     probs, errs = zip(*(_proportion(h, n_per_cell) for h in hits))
     return StabilityHeatmap(
         dims=dims,

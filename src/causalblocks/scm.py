@@ -21,8 +21,7 @@ then replays those worlds with one variable forced.
 
 Every draw comes from a per-sample seed (see ``core.derive_sample_seed``).
 A seed keys a counter-based SplitMix64 stream, and all samples of a batch
-are drawn in one array computation, so estimates do not depend on batching
-or worker scheduling.
+are drawn in one array computation, so estimates do not depend on batching.
 """
 
 from __future__ import annotations
@@ -574,7 +573,7 @@ def trace_from_dict(doc: dict) -> EpisodeTrace:
             raise SchemaError("trace.ground_truth.exo: ws must be an array")
         ws = []
         for i, pair in enumerate(exo_doc["ws"]):
-            ws.append(_pair({"p": pair}, "p", f"trace.ground_truth.exo.ws[{i}]"))
+            ws.append(_pair({f"ws[{i}]": pair}, f"ws[{i}]", "trace.ground_truth.exo"))
         wa = _pair(exo_doc, "wa", "trace.ground_truth.exo")
         ground_truth = GroundTruth(
             s0=tower_from_dict(gt_doc["s0"], "trace.ground_truth.s0"),

@@ -175,6 +175,42 @@ def test_predict_nan_token_in_scenario_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def _set_center_x(doc, value):
+    doc["blocks"][0]["center_x"] = value
+
+
+def _set_width(doc, value):
+    doc["blocks"][0]["width"] = value
+
+
+def _set_sigma_s(doc, value):
+    doc["noise"]["sigma_s"] = value
+
+
+def _set_support_half_extents(doc, value):
+    doc["support_half_extents"][0] = value
+
+
+@pytest.mark.parametrize("field, setter", [
+    ("center_x", _set_center_x),
+    ("width", _set_width),
+    ("sigma_s", _set_sigma_s),
+    ("support_half_extents", _set_support_half_extents),
+], ids=["center_x", "width", "sigma_s", "support_half_extents"])
+def test_predict_int_beyond_float_range_is_usage_error(field, setter, tmp_path, capsys):
+    # json reads a 401-digit integer as an int, which float() cannot convert
+    doc = scenario_to_dict(two_cube_scenario(0.02, 0.02))
+    setter(doc, 10 ** 400)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code = main(["predict", "--scenario", str(path), "--action", "null",
+                 "--n", "10", "--seed", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"{field} is out of float range" in captured.err
+    assert captured.out == ""
+
+
 # --- heatmap ------------------------------------------------------------------
 
 
@@ -208,13 +244,13 @@ def test_heatmap_zero_grid_is_usage_error(zero_scenario, tmp_path, capsys):
     assert "grid dimensions" in capsys.readouterr().err
 
 
-def test_heatmap_zero_workers_is_usage_error(zero_scenario, tmp_path, capsys):
+def test_heatmap_workers_flag_is_unknown_argument(zero_scenario, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["heatmap", "--scenario", zero_scenario, "--block", "b2",
-              "--grid", "3x3", "--n", "16", "--seed", "3", "--workers", "0",
+              "--grid", "3x3", "--n", "16", "--seed", "3", "--workers", "2",
               "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_heatmap_bad_grid_spec(zero_scenario, tmp_path):
@@ -228,14 +264,13 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("workers", ["1", "2", "4"])
-def test_readme_heatmap_outputs_are_frozen(workers, tmp_path):
+def test_readme_heatmap_outputs_are_frozen(tmp_path):
     # The README command's CSV and PGM, pinned: a change to the draws, the
     # kernel, the cell streams or the packing of cells shows up here.
     csv_path, pgm_path = tmp_path / "heatmap.csv", tmp_path / "heatmap.pgm"
     assert main(["heatmap", "--scenario", TWO_CUBES, "--block", "b2", "--grid", "9x9",
                  "--n", "2000", "--seed", "7", "--out", str(csv_path),
-                 "--pgm", str(pgm_path), "--workers", workers]) == 0
+                 "--pgm", str(pgm_path)]) == 0
     assert _sha256(csv_path.read_bytes()) == (
         "2cddb2594a9fd47e36467d4473694a909f33d26ddf2cbb52510eb114ef8fbf54")
     assert _sha256(pgm_path.read_bytes()) == (
@@ -362,6 +397,19 @@ def test_explain_non_finite_token_in_trace_is_usage_error(token, tmp_path, capsy
     code = main(["explain", "--trace", str(path), "--n", "10", "--seed", "1"])
     assert code == 2
     assert f"offset_x must be finite, got {token}" in capsys.readouterr().err
+
+
+def test_explain_overflowing_literal_in_trace_is_usage_error(tmp_path, capsys):
+    # json reads the literal 1e400 as inf
+    path, _ = make_failure_trace(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["ground_truth"]["exo"]["ws"][0][0] = 0.125
+    path.write_text(json.dumps(doc).replace("0.125", "1e400", 1))
+    code = main(["explain", "--trace", str(path), "--n", "10", "--seed", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "ws[0] is out of float range" in captured.err
+    assert captured.out == ""
 
 
 def test_explain_missing_trace_file(tmp_path):

@@ -67,16 +67,6 @@ def test_collapsed_tower_exempt_from_overlap_validation():
     tower.validate()
 
 
-def test_z_centers_follow_stacking_order():
-    specs = [
-        BlockSpec("a", 0.1, 0.1, 0.10, 0.2),
-        BlockSpec("b", 0.1, 0.1, 0.06, 0.2),
-        BlockSpec("c", 0.1, 0.1, 0.04, 0.2),
-    ]
-    tower = column(specs, [(0, 0)] * 3)
-    assert np.allclose(tower.z_centers(), [0.05, 0.13, 0.18])
-
-
 def test_noise_model_validation():
     with pytest.raises(ValidationError):
         NoiseModel(-0.01, 0.0)

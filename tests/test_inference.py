@@ -451,12 +451,12 @@ def test_grid_rejects_bad_dims():
 # --- stability_heatmap ------------------------------------------------------------
 
 
-def zero_noise_heatmap(nx=9, ny=1, n_per_cell=8, seed=3, workers=1):
+def zero_noise_heatmap(nx=9, ny=1, n_per_cell=8, seed=3):
     sc = two_cube_scenario(0.0, 0.0)
     block = sc.pending_blocks[0]
     grid = candidate_grid(sc.tower, block, nx, ny)
     return stability_heatmap(sc.tower, block, grid, ZERO, n_per_cell, seed,
-                             workers=workers, dims=(nx, ny))
+                             dims=(nx, ny))
 
 
 def test_zero_noise_heatmap_matches_analytic_region():
@@ -555,17 +555,6 @@ def test_center_cell_degrades_with_actuation_noise():
     assert high.p <= low.p + tol
 
 
-def test_heatmap_worker_count_does_not_change_results():
-    sc = two_cube_scenario(0.015, 0.025)
-    block = sc.pending_blocks[0]
-    grid = candidate_grid(sc.tower, block, 5, 1)
-    serial = stability_heatmap(sc.tower, block, grid, sc.noise, 300, 21,
-                               workers=1, dims=(5, 1))
-    parallel = stability_heatmap(sc.tower, block, grid, sc.noise, 300, 21,
-                                 workers=3, dims=(5, 1))
-    assert serial == parallel
-
-
 def _cell_block(tower):
     import causalblocks.inference as inference_mod
 
@@ -596,29 +585,18 @@ def test_heatmap_cells_equal_single_cell_predictions(tower_seed, dims, k, size, 
         est = predict_stability(sc.tower, PlaceAction(new_block, ox, oy), noise, n,
                                 derive_sample_seed(seed, "heatmap-cell", i))
         assert (hm.probabilities[i], hm.stderr[i]) == (est.p, est.stderr), i
-    for workers in (2, 3):
-        assert stability_heatmap(sc.tower, new_block, grid, noise, n, seed,
-                                 workers=workers, dims=dims) == hm
 
 
 def test_heatmap_validates_input():
     sc = two_cube_scenario()
     block = sc.pending_blocks[0]
     with pytest.raises(ValidationError):
-        stability_heatmap(sc.tower, block, [], sc.noise, 10, 1)
+        stability_heatmap(sc.tower, block, [], sc.noise, 10, 1, dims=(0, 0))
     with pytest.raises(ValidationError):
-        stability_heatmap(sc.tower, block, [(0.0, 0.0)], sc.noise, 0, 1)
+        stability_heatmap(sc.tower, block, [(0.0, 0.0)], sc.noise, 0, 1, dims=(1, 1))
     with pytest.raises(ValidationError):
         stability_heatmap(sc.tower, block, [(0.0, 0.0)], sc.noise, 10, 1,
                           dims=(2, 2))
-
-
-def test_heatmap_infers_dims():
-    sc = two_cube_scenario(0.0, 0.0)
-    block = sc.pending_blocks[0]
-    grid = candidate_grid(sc.tower, block, 3, 2)
-    hm = stability_heatmap(sc.tower, block, grid, ZERO, 4, 1)
-    assert hm.dims == (3, 2)
 
 
 # --- select_action ----------------------------------------------------------------

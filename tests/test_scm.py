@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -38,7 +39,7 @@ from causalblocks import (
 from causalblocks.scm import draw_exogenous_batch, trace_from_dict, trace_to_dict
 from causalblocks.scenarios import cube, column, two_cube_scenario
 
-from oracles import two_cube_place_probability
+from oracles import discrete_probability, tower_tuples, two_cube_place_probability
 
 ZERO = NoiseModel(0.0, 0.0)
 
@@ -470,6 +471,35 @@ def test_abduct_acceptance_rate_matches_closed_form():
     assert abs(result.acceptance_rate - p) <= 3.0 * np.sqrt(p * (1 - p) / n_attempts)
 
 
+@pytest.mark.parametrize("outcome", [True, False])
+@pytest.mark.parametrize("nblocks", [1, 2, 3, 4])
+def test_abduct_discrete_acceptance_matches_exact_enumeration(nblocks, outcome):
+    # Abduction accepts a world when it replays to the observed outcome, so
+    # its acceptance rate estimates P(outcome). Under 3-point noise that is
+    # enumerated exactly: the true tower z0 - ws and the block landing at
+    # z0's top + offset + wa.
+    k, sigma_s, sigma_a = 3, 0.03, 0.02
+    noise = NoiseModel(sigma_s, sigma_a, support_points=k)
+    z0 = column([cube(f"b{i}") for i in range(nblocks)],
+                [(0.01 * i, -0.005 * i) for i in range(nblocks)])
+    new_block = cube("n")
+    trace = EpisodeTrace(scenario_id="ext", z0=z0, belief=z0,
+                         action=PlaceAction(new_block, 0.02, -0.01), outcome=outcome,
+                         noise=noise, ground_truth=None)
+    n_attempts = 20_000
+    result = abduct(trace, noise, n_attempts, 31 + nblocks, max_attempts=n_attempts)
+    tx, ty = z0.top_center()
+    hx, hy = new_block.half_extents
+    rows = tower_tuples(z0) + [(new_block.mass, tx + 0.02, ty - 0.01, hx, hy)]
+    p = discrete_probability(rows, z0.support_half_extents,
+                             [-sigma_s] * nblocks + [sigma_a], k)
+    if not outcome:
+        p = 1.0 - p
+    assert 0.0 < p < 1.0
+    assert result.attempts == n_attempts
+    assert abs(result.acceptance_rate - p) <= 4.5 * math.sqrt(p * (1 - p) / n_attempts), p
+
+
 def test_abduct_belief_inversion_exact():
     sc = two_cube_scenario(0.02, 0.02)
     trace = sample_episode(sc.tower, place_b2(sc), sc.noise, 2)
@@ -583,6 +613,22 @@ def test_initial_state_intervention_rederives_belief():
     shifted = sc.tower.with_centers(np.array([[0.08, 0.0]]))
     cf = counterfactual_outcomes(trace, SetInitialState(shifted), ab)
     assert np.all(cf)
+
+
+def test_initial_state_intervention_adds_the_sensing_error_to_the_belief():
+    # One abducted world, built by hand: sensing error ws = (+0.04, 0) and
+    # wa = 0. Forcing the true cube to the origin makes the belief read it
+    # at 0 + 0.04, so Place (0.03, 0) aims at and lands on 0.07, past the
+    # cube's 0.05 half width: it falls. With the sign of ws flipped it
+    # would land at -0.01 and stand.
+    sc = two_cube_scenario(0.0, 0.0)
+    trace = sample_episode(sc.tower, place_b2(sc, 0.03, 0.0), ZERO, 1)
+    world = scm_mod.AbductionResult(
+        ws_accepted=np.array([[[0.04, 0.0]]]), wa_accepted=np.zeros((1, 2)),
+        acceptance_rate=1.0, requested=1, accepted=1, attempts=1)
+    at_origin = sc.tower.with_centers(np.zeros((1, 2)))
+    cf = counterfactual_outcomes(trace, SetInitialState(at_origin), world)
+    assert cf.tolist() == [False]
 
 
 def test_null_counterfactual_checks_initial_stability():
