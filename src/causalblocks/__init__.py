@@ -13,6 +13,7 @@ from .core import (
     EpisodeTrace,
     ExogenousSample,
     GroundTruth,
+    InterventionTarget,
     NoiseModel,
     NullAction,
     NULL_ACTION,
@@ -20,15 +21,15 @@ from .core import (
     PlacedBlock,
     Scenario,
     SchemaError,
+    SetAction,
+    SetActuationNoise,
+    SetInitialState,
+    SetSensorNoise,
     StabilityHeatmap,
     TowerState,
     ValidationError,
     derive_sample_seed,
     derive_sample_seeds,
-    load_scenario,
-    parse_scenario,
-    save_scenario,
-    scenario_to_dict,
 )
 from .explain import (
     Explanation,
@@ -36,20 +37,28 @@ from .explain import (
     explain,
     explain_with_abduction,
     render_explanation,
-    report_to_dict,
     score_candidates,
+)
+from .formats import (
+    heatmap_to_csv,
+    heatmap_to_pgm,
+    load_scenario,
+    load_trace,
+    parse_scenario,
+    report_to_dict,
+    save_scenario,
+    save_trace,
+    scenario_to_dict,
+    write_heatmap_csv,
+    write_heatmap_pgm,
 )
 from .inference import (
     PredictionEstimate,
     SelectionResult,
     candidate_grid,
-    heatmap_to_csv,
-    heatmap_to_pgm,
     predict_stability,
     select_action,
     stability_heatmap,
-    write_heatmap_csv,
-    write_heatmap_pgm,
 )
 from .physics import (
     InterfaceCheck,
@@ -62,18 +71,11 @@ from .physics import (
 from .scm import (
     AbductionFailure,
     AbductionResult,
-    InterventionTarget,
-    SetAction,
-    SetActuationNoise,
-    SetInitialState,
-    SetSensorNoise,
     abduct,
     counterfactual_outcomes,
     draw_exogenous,
-    load_trace,
     replay_ground_truth,
     sample_episode,
-    save_trace,
 )
 
 __version__ = "0.1.0"

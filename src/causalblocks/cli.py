@@ -12,7 +12,6 @@ cannot be explained), 3 abduction failure, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Optional
@@ -24,18 +23,18 @@ from .core import (
     Scenario,
     SchemaError,
     ValidationError,
-    load_scenario,
 )
-from .explain import explain_with_abduction, report_to_dict
-from .inference import (
-    candidate_grid,
-    predict_stability,
-    select_action,
-    stability_heatmap,
+from .explain import explain_with_abduction
+from .formats import (
+    load_scenario,
+    load_trace,
+    save_report,
+    save_trace,
     write_heatmap_csv,
     write_heatmap_pgm,
 )
-from .scm import AbductionFailure, load_trace, replay_ground_truth, sample_episode, save_trace
+from .inference import candidate_grid, predict_stability, select_action, stability_heatmap
+from .scm import AbductionFailure, replay_ground_truth, sample_episode
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,12 +51,7 @@ def _parse_action(spec: str, scenario: Scenario) -> Action:
     if parts == ["null"]:
         return NullAction()
     if len(parts) == 4 and parts[0] == "place":
-        try:
-            block = scenario.pending_by_id(parts[1])
-        except KeyError:
-            raise UsageError(
-                f"unknown block id {parts[1]!r}; pending blocks: "
-                f"{[b.id for b in scenario.pending_blocks]}")
+        block = _pending_block(scenario, parts[1])
         try:
             dx, dy = float(parts[2]), float(parts[3])
         except ValueError:
@@ -187,9 +181,7 @@ def cmd_explain(args) -> int:
     for rank, e in enumerate(explanations, start=1):
         print(f"{rank}. [PNS={e.pns:.2f}] {e.text}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(explanations, abduction, trace), fh, indent=2)
-            fh.write("\n")
+        save_report(explanations, abduction, trace, args.out)
         print(f"report written to {args.out}")
     return EXIT_OK
 
@@ -251,13 +243,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (UsageError, SchemaError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AbductionFailure as exc:

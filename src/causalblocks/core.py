@@ -1,4 +1,4 @@
-"""Domain types, scenario files, and the deterministic seeding contract.
+"""Domain types and the deterministic seeding contract.
 
 Everything downstream (physics, sampling, inference, explanation) is built
 on the value types defined here. All types are immutable, so they can be
@@ -11,12 +11,11 @@ stacking order, so a block's pose is just its (x, y) center.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from statistics import NormalDist
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -262,7 +261,7 @@ class TowerState:
 
 
 # ---------------------------------------------------------------------------
-# Actions
+# Actions and interventions
 # ---------------------------------------------------------------------------
 
 
@@ -293,6 +292,37 @@ class PlaceAction:
 Action = Union[NullAction, PlaceAction]
 
 NULL_ACTION = NullAction()
+
+
+@dataclass(frozen=True, slots=True)
+class SetAction:
+    """Force the agent's action."""
+
+    action: Action
+
+
+@dataclass(frozen=True, slots=True)
+class SetSensorNoise:
+    """Force the per-block sensing errors (one (dx, dy) per block)."""
+
+    ws: tuple[tuple[float, float], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class SetActuationNoise:
+    """Force the placement error."""
+
+    wa: tuple[float, float]
+
+
+@dataclass(frozen=True, slots=True)
+class SetInitialState:
+    """Force the true initial tower."""
+
+    s0: TowerState
+
+
+InterventionTarget = Union[SetAction, SetSensorNoise, SetActuationNoise, SetInitialState]
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +388,13 @@ class ExogenousSample:
     ws: tuple[tuple[float, float], ...]
     wa: tuple[float, float]
 
+    def __post_init__(self) -> None:
+        for dx, dy in self.ws:
+            _require_finite("ws", dx)
+            _require_finite("ws", dy)
+        for value in self.wa:
+            _require_finite("wa", value)
+
     def ws_array(self) -> np.ndarray:
         return np.array(self.ws, dtype=float).reshape(len(self.ws), 2)
 
@@ -366,7 +403,7 @@ class ExogenousSample:
 
 
 # ---------------------------------------------------------------------------
-# Episodes and heatmaps
+# Episodes, heatmaps and scenarios
 # ---------------------------------------------------------------------------
 
 
@@ -431,11 +468,6 @@ class StabilityHeatmap:
         return np.array(self.probabilities, dtype=float).reshape(nx, ny)
 
 
-# ---------------------------------------------------------------------------
-# Scenario files
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True, slots=True)
 class Scenario:
     """A tower, the blocks still to be placed, and the ambient noise."""
@@ -450,193 +482,3 @@ class Scenario:
             if spec.id == block_id:
                 return spec
         raise KeyError(block_id)
-
-
-def _check_keys(obj: dict, required: Iterable[str], optional: Iterable[str] = (),
-                where: str = "document") -> None:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected a JSON object")
-    required = set(required)
-    allowed = required | set(optional)
-    missing = required - obj.keys()
-    unknown = obj.keys() - allowed
-    if missing:
-        raise SchemaError(f"{where}: missing fields {sorted(missing)}")
-    if unknown:
-        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
-
-
-@dataclass(frozen=True, slots=True)
-class _NonFinite:
-    """A ``NaN``, ``Infinity`` or ``-Infinity`` token. JSON (RFC 8259) has
-    none of them, but Python's ``json`` reads them as floats; the loaders
-    read them as this instead, which no field accepts."""
-
-    token: str
-
-
-def _load_json(path, what: str):
-    """The document of a ``what`` JSON file, strictly: bad JSON and
-    non-finite tokens are ``SchemaError``s."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, parse_constant=_NonFinite)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{what} file {path}: invalid JSON ({exc})") from exc
-
-
-def _not_a_number(value, key: str, where: str, expected: str) -> SchemaError:
-    """The error for a ``value`` of field ``key`` that is no number: a
-    non-finite token names itself, anything else says the field ``must
-    {expected}``."""
-    if isinstance(value, _NonFinite):
-        return SchemaError(f"{where}: {key} must be finite, got {value.token}")
-    return SchemaError(f"{where}: field {key!r} must {expected}")
-
-
-def _float(value, key: str, where: str, expected: str) -> float:
-    """``value`` of field ``key`` as a finite float. An int too large for a
-    float and a literal such as ``1e400``, which ``json`` reads as inf, are
-    out of range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _not_a_number(value, key, where, expected)
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if math.isinf(number):
-        raise SchemaError(f"{where}: {key} is out of float range")
-    return number
-
-
-def _number(obj: dict, key: str, where: str) -> float:
-    return _float(obj[key], key, where, "be a number")
-
-
-def _pair(obj: dict, key: str, where: str) -> tuple[float, float]:
-    value = obj[key]
-    if (not isinstance(value, list)) or len(value) != 2:
-        raise SchemaError(f"{where}: field {key!r} must be a 2-element array")
-    return tuple(_float(v, key, where, "contain numbers") for v in value)
-
-
-_SPEC_FIELDS = ("id", "width", "depth", "height", "mass", "color")
-
-
-# A trace file repeats each spec in up to four towers, and callers load many
-# files of the same blocks: equal parsed specs share one immutable BlockSpec.
-_shared_spec = lru_cache(maxsize=256)(BlockSpec)
-
-
-def _block_spec_from_dict(obj: dict, where: str) -> BlockSpec:
-    _check_keys(obj, _SPEC_FIELDS, where=where)
-    if not isinstance(obj["id"], str) or not isinstance(obj["color"], str):
-        raise SchemaError(f"{where}: id and color must be strings")
-    sizes = (_number(obj, "width", where), _number(obj, "depth", where),
-             _number(obj, "height", where), _number(obj, "mass", where))
-    try:
-        return _shared_spec(obj["id"], *sizes, obj["color"])
-    except ValidationError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _block_spec_to_dict(spec: BlockSpec) -> dict:
-    return {
-        "id": spec.id,
-        "width": spec.width,
-        "depth": spec.depth,
-        "height": spec.height,
-        "mass": spec.mass,
-        "color": spec.color,
-    }
-
-
-def _blocks_from_list(entries: list, where: str) -> tuple[PlacedBlock, ...]:
-    """Placed blocks from a JSON array at path ``where`` (e.g. ``scenario.blocks``)."""
-    placed = []
-    for i, entry in enumerate(entries):
-        bwhere = f"{where}[{i}]"
-        _check_keys(entry, _SPEC_FIELDS + ("center_x", "center_y"), where=bwhere)
-        spec = _block_spec_from_dict({k: entry[k] for k in _SPEC_FIELDS}, bwhere)
-        cx, cy = _number(entry, "center_x", bwhere), _number(entry, "center_y", bwhere)
-        try:
-            placed.append(PlacedBlock(spec, cx, cy))
-        except ValidationError as exc:
-            raise SchemaError(f"{bwhere}: {exc}") from exc
-    return tuple(placed)
-
-
-def _blocks_to_list(blocks: Iterable[PlacedBlock]) -> list[dict]:
-    return [{**_block_spec_to_dict(b.spec), "center_x": b.center_x, "center_y": b.center_y}
-            for b in blocks]
-
-
-def _noise_from_dict(obj: dict, where: str) -> NoiseModel:
-    _check_keys(obj, ("sigma_s", "sigma_a"), ("support_points",), where=where)
-    k = obj.get("support_points")
-    if "support_points" in obj and (isinstance(k, bool) or not isinstance(k, int)):
-        raise SchemaError(f"{where}: field 'support_points' must be an integer")
-    sigma_s, sigma_a = _number(obj, "sigma_s", where), _number(obj, "sigma_a", where)
-    try:
-        return NoiseModel(sigma_s, sigma_a, support_points=k)
-    except ValidationError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def _noise_to_dict(noise: NoiseModel) -> dict:
-    doc = {"sigma_s": noise.sigma_s, "sigma_a": noise.sigma_a}
-    if noise.support_points is not None:
-        doc["support_points"] = noise.support_points
-    return doc
-
-
-def parse_scenario(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document (strict: unknown fields
-    are rejected)."""
-    _check_keys(doc, ("scenario_id", "support_half_extents", "blocks",
-                      "pending_blocks", "noise"), where="scenario")
-    if not isinstance(doc["scenario_id"], str):
-        raise SchemaError("scenario: scenario_id must be a string")
-    support = _pair(doc, "support_half_extents", "scenario")
-
-    if not isinstance(doc["blocks"], list) or not isinstance(doc["pending_blocks"], list):
-        raise SchemaError("scenario: blocks and pending_blocks must be arrays")
-
-    placed = _blocks_from_list(doc["blocks"], "scenario.blocks")
-    pending = tuple(
-        _block_spec_from_dict(entry, f"scenario.pending_blocks[{i}]")
-        for i, entry in enumerate(doc["pending_blocks"])
-    )
-
-    noise = _noise_from_dict(doc["noise"], "scenario.noise")
-    try:
-        tower = TowerState(placed, support_half_extents=support)
-        tower.validate()
-    except ValidationError as exc:
-        raise SchemaError(f"scenario: {exc}") from exc
-
-    ids = [b.spec.id for b in placed] + [s.id for s in pending]
-    if len(set(ids)) != len(ids):
-        raise SchemaError(f"scenario: block ids must be unique, got {ids}")
-
-    return Scenario(doc["scenario_id"], tower, pending, noise)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "scenario_id": scenario.scenario_id,
-        "support_half_extents": list(scenario.tower.support_half_extents),
-        "blocks": _blocks_to_list(scenario.tower.blocks),
-        "pending_blocks": [_block_spec_to_dict(s) for s in scenario.pending_blocks],
-        "noise": _noise_to_dict(scenario.noise),
-    }
-
-
-def load_scenario(path) -> Scenario:
-    return parse_scenario(_load_json(path, "scenario"))
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2)
-        fh.write("\n")

@@ -21,22 +21,18 @@ from typing import Optional
 from .core import (
     Action,
     EpisodeTrace,
+    InterventionTarget,
     NoiseModel,
     PlaceAction,
-    ValidationError,
-)
-from .scm import (
-    AbductionResult,
-    InterventionTarget,
     SetAction,
     SetActuationNoise,
     SetInitialState,
     SetSensorNoise,
-    abduct,
-    action_to_dict,
-    counterfactual_outcomes,
-    tower_to_dict,
+    ValidationError,
 )
+# The report codec is in ``formats``; ``report_to_dict`` is also read here.
+from .formats import report_to_dict
+from .scm import AbductionResult, abduct, counterfactual_outcomes
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,18 +173,14 @@ def score_candidates(trace: EpisodeTrace, candidates: list[InterventionTarget],
     """
     if not candidates:
         raise ValidationError("no counterfactual candidates to score")
-    # Factual replay; reproduces the observed outcome in every abducted
-    # world by construction, making pns coincide with pn.
-    factual = counterfactual_outcomes(trace, SetAction(trace.action), abduction)
-    factual_ok = factual == trace.outcome
     n = abduction.accepted
 
     scored: list[tuple[tuple, Explanation]] = []
     for i, target in enumerate(candidates):
         outcomes = counterfactual_outcomes(trace, target, abduction)
-        flips = outcomes != trace.outcome
-        pn = float(flips.mean())
-        pns = float((factual_ok & flips).mean())
+        # Every abducted world replays the observed outcome under the
+        # factual setting (hard abduction), so pns counts the same flips.
+        pn = pns = float((outcomes != trace.outcome).mean())
         e = Explanation(
             target=target,
             factual_summary=_factual_summary(trace, target),
@@ -226,42 +218,3 @@ def explain(trace: EpisodeTrace, noise: NoiseModel, n_samples: int, seed: int,
         trace, noise, n_samples, seed,
         heatmap_best=heatmap_best, max_attempts=max_attempts)
     return explanations
-
-
-# ---------------------------------------------------------------------------
-# Report serialization
-# ---------------------------------------------------------------------------
-
-
-def target_to_dict(target: InterventionTarget) -> dict:
-    if isinstance(target, SetActuationNoise):
-        return {"kind": "actuation_noise", "wa": list(target.wa)}
-    if isinstance(target, SetSensorNoise):
-        return {"kind": "sensor_noise", "ws": [list(p) for p in target.ws]}
-    if isinstance(target, SetAction):
-        return {"kind": "action", "action": action_to_dict(target.action)}
-    if isinstance(target, SetInitialState):
-        return {"kind": "initial_state", "s0": tower_to_dict(target.s0)}
-    raise TypeError(f"unknown intervention target: {target!r}")
-
-
-def explanation_to_dict(e: Explanation) -> dict:
-    return {
-        "target": target_to_dict(e.target),
-        "factual_summary": e.factual_summary,
-        "pn": e.pn,
-        "pns": e.pns,
-        "n_samples": e.n_samples,
-        "text": e.text,
-    }
-
-
-def report_to_dict(explanations: list[Explanation],
-                   abduction: AbductionResult, trace: EpisodeTrace) -> dict:
-    return {
-        "scenario_id": trace.scenario_id,
-        "observed_outcome": trace.outcome,
-        "acceptance_rate": abduction.acceptance_rate,
-        "abduction_attempts": abduction.attempts,
-        "explanations": [explanation_to_dict(e) for e in explanations],
-    }

@@ -347,43 +347,3 @@ def select_action(heatmap: StabilityHeatmap, belief: TowerState,
         admissible_count=0,
         fallback=True,
     )
-
-
-# ---------------------------------------------------------------------------
-# Exports
-# ---------------------------------------------------------------------------
-
-
-def _fmt(value: float) -> str:
-    return f"{value + 0.0:.6f}"  # +0.0 normalizes negative zero
-
-
-def heatmap_to_csv(heatmap: StabilityHeatmap) -> str:
-    """CSV text: header then one row per cell in row-major grid order,
-    six fractional digits, LF newlines."""
-    lines = ["offset_x,offset_y,p_stable,stderr"]
-    for (ox, oy), p, se in zip(heatmap.offsets, heatmap.probabilities, heatmap.stderr):
-        lines.append(f"{_fmt(ox)},{_fmt(oy)},{_fmt(p)},{_fmt(se)}")
-    return "\n".join(lines) + "\n"
-
-
-def heatmap_to_pgm(heatmap: StabilityHeatmap) -> str:
-    """Plain (P2) PGM: probabilities quantized to 0..255, ny rows of nx
-    values, row iy listing cells (0, iy) .. (nx-1, iy)."""
-    nx, ny = heatmap.dims
-    lines = ["P2", f"{nx} {ny}", "255"]
-    for iy in range(ny):
-        row = [str(int(round(heatmap.probabilities[ix * ny + iy] * 255)))
-               for ix in range(nx)]
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def write_heatmap_csv(heatmap: StabilityHeatmap, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(heatmap_to_csv(heatmap))
-
-
-def write_heatmap_pgm(heatmap: StabilityHeatmap, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(heatmap_to_pgm(heatmap))

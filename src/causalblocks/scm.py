@@ -27,8 +27,7 @@ are drawn in one array computation, so estimates do not depend on batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import json
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -37,28 +36,23 @@ from .core import (
     EpisodeTrace,
     ExogenousSample,
     GroundTruth,
+    InterventionTarget,
     NoiseModel,
-    NullAction,
     PlaceAction,
-    SchemaError,
+    SetAction,
+    SetActuationNoise,
+    SetInitialState,
+    SetSensorNoise,
     TowerState,
     ValidationError,
     derive_sample_seeds,
     _MASK64,
     _SM_GAMMA,
     _WORLD_BLOCK,
-    _block_spec_from_dict,
-    _block_spec_to_dict,
-    _blocks_from_list,
-    _blocks_to_list,
-    _check_keys,
-    _load_json,
-    _noise_from_dict,
-    _noise_to_dict,
-    _number,
-    _pair,
     _splitmix64_array,
 )
+# The trace file codec is in ``formats``; these two are also read here.
+from .formats import load_trace, save_trace
 from .physics import TransitionResult, outcome_mask, transition
 
 
@@ -384,37 +378,6 @@ def abduct(trace: EpisodeTrace, noise: NoiseModel, n_requested: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SetAction:
-    """Force the agent's action."""
-
-    action: Action
-
-
-@dataclass(frozen=True, slots=True)
-class SetSensorNoise:
-    """Force the per-block sensing errors (one (dx, dy) per block)."""
-
-    ws: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class SetActuationNoise:
-    """Force the placement error."""
-
-    wa: tuple[float, float]
-
-
-@dataclass(frozen=True, slots=True)
-class SetInitialState:
-    """Force the true initial tower."""
-
-    s0: TowerState
-
-
-InterventionTarget = Union[SetAction, SetSensorNoise, SetActuationNoise, SetInitialState]
-
-
 def counterfactual_outcomes(trace: EpisodeTrace, target: InterventionTarget,
                             abduction: AbductionResult) -> np.ndarray:
     """Replay every abducted world with one variable forced.
@@ -471,136 +434,3 @@ def counterfactual_outcomes(trace: EpisodeTrace, target: InterventionTarget,
         raise TypeError(f"unknown intervention target: {target!r}")
 
     return outcome_mask(s0, belief_top, action, wa, base=base)
-
-
-# ---------------------------------------------------------------------------
-# Trace files
-# ---------------------------------------------------------------------------
-
-
-def tower_to_dict(tower: TowerState) -> dict:
-    return {
-        "support_half_extents": list(tower.support_half_extents),
-        "collapsed": tower.collapsed,
-        "blocks": _blocks_to_list(tower.blocks),
-    }
-
-
-def tower_from_dict(doc: dict, where: str = "tower") -> TowerState:
-    _check_keys(doc, ("support_half_extents", "collapsed", "blocks"), where=where)
-    if not isinstance(doc["collapsed"], bool):
-        raise SchemaError(f"{where}: collapsed must be a boolean")
-    if not isinstance(doc["blocks"], list):
-        raise SchemaError(f"{where}: blocks must be an array")
-    placed = _blocks_from_list(doc["blocks"], f"{where}.blocks")
-    try:
-        return TowerState(placed, support_half_extents=_pair(doc, "support_half_extents", where),
-                          collapsed=doc["collapsed"])
-    except ValidationError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
-def action_to_dict(action: Action) -> dict:
-    if isinstance(action, NullAction):
-        return {"kind": "null"}
-    if isinstance(action, PlaceAction):
-        return {
-            "kind": "place",
-            "block": _block_spec_to_dict(action.spec),
-            "offset_x": action.offset_x,
-            "offset_y": action.offset_y,
-        }
-    raise TypeError(f"unknown action type: {action!r}")
-
-
-def action_from_dict(doc: dict, where: str = "action") -> Action:
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise SchemaError(f"{where}: expected an object with a 'kind' field")
-    kind = doc["kind"]
-    if kind == "null":
-        _check_keys(doc, ("kind",), where=where)
-        return NullAction()
-    if kind == "place":
-        _check_keys(doc, ("kind", "block", "offset_x", "offset_y"), where=where)
-        spec = _block_spec_from_dict(doc["block"], f"{where}.block")
-        dx, dy = _number(doc, "offset_x", where), _number(doc, "offset_y", where)
-        try:
-            return PlaceAction(spec, dx, dy)
-        except ValidationError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-    raise SchemaError(f"{where}: unknown action kind {kind!r}")
-
-
-def trace_to_dict(trace: EpisodeTrace) -> dict:
-    doc = {
-        "scenario_id": trace.scenario_id,
-        "z0": tower_to_dict(trace.z0),
-        "belief": tower_to_dict(trace.belief),
-        "action": action_to_dict(trace.action),
-        "outcome": trace.outcome,
-        "noise": _noise_to_dict(trace.noise),
-        "ground_truth": None,
-    }
-    if trace.ground_truth is not None:
-        gt = trace.ground_truth
-        doc["ground_truth"] = {
-            "s0": tower_to_dict(gt.s0),
-            "exo": {
-                "ws": [list(pair) for pair in gt.exo.ws],
-                "wa": list(gt.exo.wa),
-            },
-            "s1": tower_to_dict(gt.s1),
-        }
-    return doc
-
-
-def trace_from_dict(doc: dict) -> EpisodeTrace:
-    _check_keys(doc, ("scenario_id", "z0", "belief", "action", "outcome",
-                      "noise", "ground_truth"), where="trace")
-    if not isinstance(doc["scenario_id"], str):
-        raise SchemaError("trace: scenario_id must be a string")
-    if not isinstance(doc["outcome"], bool):
-        raise SchemaError("trace: outcome must be a boolean")
-    noise = _noise_from_dict(doc["noise"], "trace.noise")
-
-    ground_truth = None
-    gt_doc = doc["ground_truth"]
-    if gt_doc is not None:
-        _check_keys(gt_doc, ("s0", "exo", "s1"), where="trace.ground_truth")
-        exo_doc = gt_doc["exo"]
-        _check_keys(exo_doc, ("ws", "wa"), where="trace.ground_truth.exo")
-        if not isinstance(exo_doc["ws"], list):
-            raise SchemaError("trace.ground_truth.exo: ws must be an array")
-        ws = []
-        for i, pair in enumerate(exo_doc["ws"]):
-            ws.append(_pair({f"ws[{i}]": pair}, f"ws[{i}]", "trace.ground_truth.exo"))
-        wa = _pair(exo_doc, "wa", "trace.ground_truth.exo")
-        ground_truth = GroundTruth(
-            s0=tower_from_dict(gt_doc["s0"], "trace.ground_truth.s0"),
-            exo=ExogenousSample(ws=tuple(ws), wa=wa),
-            s1=tower_from_dict(gt_doc["s1"], "trace.ground_truth.s1"),
-        )
-
-    trace = EpisodeTrace(
-        scenario_id=doc["scenario_id"],
-        z0=tower_from_dict(doc["z0"], "trace.z0"),
-        belief=tower_from_dict(doc["belief"], "trace.belief"),
-        action=action_from_dict(doc["action"]),
-        outcome=doc["outcome"],
-        noise=noise,
-        ground_truth=ground_truth,
-    )
-    if ground_truth is not None and len(ground_truth.exo.ws) != len(trace.z0):
-        raise SchemaError("trace.ground_truth.exo: ws length must equal the "
-                          "observed block count")
-    return trace
-
-
-def save_trace(trace: EpisodeTrace, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_to_dict(trace), fh, indent=2)
-        fh.write("\n")
-
-
-def load_trace(path) -> EpisodeTrace:
-    return trace_from_dict(_load_json(path, "trace"))

@@ -1,9 +1,14 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalblocks import (PlaceAction, load_trace, sample_episode, save_trace, save_scenario,
                           scenario_to_dict)
@@ -284,6 +289,35 @@ def test_readme_select_output_is_frozen(capsys):
         "fb962155512ab2c0a6f12361e01594f55067c6c02146fce49aec426521aee914")
 
 
+def _simulate_readme_trace(scenario, out):
+    assert main(["simulate", "--scenario", scenario, "--action", "place b2 0.01 0",
+                 "--seed", "7", "--out", str(out)]) == 0
+
+
+def test_readme_trace_and_report_are_frozen(tmp_path):
+    # The README simulate and explain commands, pinned: a change to the trace
+    # or report codec, the draws, abduction or scoring shows up here.
+    trace_path, report_path = tmp_path / "trace.json", tmp_path / "report.json"
+    _simulate_readme_trace(TWO_CUBES, trace_path)
+    assert _sha256(trace_path.read_bytes()) == (
+        "b72ece496938c2f251f14a52a5c6b235da18abac02495ce6f44c2c5fcb91d846")
+    assert main(["explain", "--trace", str(trace_path), "--n", "2000", "--seed", "7",
+                 "--out", str(report_path)]) == 0
+    assert _sha256(report_path.read_bytes()) == (
+        "18b8f0c80917b7a8a7dc83692633ac19cff8796ee1c6f6267b5174ca7cde8aa5")
+
+
+def test_discrete_noise_trace_is_frozen(tmp_path):
+    # the README trace with "support_points": 5 added to the scenario's noise
+    doc = json.loads(Path(TWO_CUBES).read_text())
+    doc["noise"]["support_points"] = 5
+    scenario_path, trace_path = tmp_path / "k5.json", tmp_path / "trace.json"
+    scenario_path.write_text(json.dumps(doc))
+    _simulate_readme_trace(str(scenario_path), trace_path)
+    assert _sha256(trace_path.read_bytes()) == (
+        "0b14958edb5bdc6c13c414f38868b2b5b77429102945d22218f10e1f8e998f87")
+
+
 # --- select -------------------------------------------------------------------
 
 
@@ -432,3 +466,133 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# --- corrupt documents ----------------------------------------------------------
+#
+# One leaf of a valid scenario or trace replaced by a hostile value: the
+# command exits 0 or 2, and 3 only where abduction ran on a trace that
+# loads. Python's json writes the non-finite floats as the NaN, Infinity and
+# -Infinity tokens, which the readers refuse.
+
+CORRUPTIONS = (math.nan, math.inf, -math.inf, 10 ** 400, -0.0, True, None, "x", [], {})
+
+
+def _leaves(doc, path=()):
+    """Paths of every number, string, boolean and null in ``doc``."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in _leaves(value, path + (key,))]
+    return [path]
+
+
+def _write_corrupted(doc, leaf, value, path):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = value
+    path.write_text(json.dumps(doc))
+
+
+def _run(argv):
+    """``main(argv)``'s exit code and standard error."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _predict(path, action="place b2 0.01 0"):
+    return _run(["predict", "--scenario", str(path), "--action", action,
+                 "--n", "200", "--seed", "7"])
+
+
+def _explain(path):
+    return _run(["explain", "--trace", str(path), "--n", "20", "--seed", "7"])
+
+
+SCENARIO_DOC = json.loads(Path(TWO_CUBES).read_text())
+
+
+@pytest.fixture(scope="module")
+def corrupt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt")
+
+
+@pytest.fixture(scope="module")
+def trace_doc(corrupt_dir):
+    path = corrupt_dir / "readme-trace.json"
+    _simulate_readme_trace(TWO_CUBES, path)
+    return json.loads(path.read_text())
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf=st.sampled_from(_leaves(SCENARIO_DOC)), value=st.sampled_from(CORRUPTIONS),
+       command=st.sampled_from(["predict", "simulate"]))
+def test_corrupt_scenario_leaf_exits_0_or_2(leaf, value, command, corrupt_dir):
+    path = corrupt_dir / "scenario.json"
+    _write_corrupted(SCENARIO_DOC, leaf, value, path)
+    if command == "predict":
+        code, err = _predict(path)
+    else:
+        code, err = _run(["simulate", "--scenario", str(path), "--action", "place b2 0.01 0",
+                          "--seed", "7", "--out", str(corrupt_dir / "out.json")])
+    assert code in (0, 2), (leaf, value, err)
+    assert err.startswith("error: ") if code == 2 else err == ""
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), value=st.sampled_from(CORRUPTIONS))
+def test_corrupt_trace_leaf_exits_0_2_or_3(data, value, trace_doc, corrupt_dir):
+    leaf = data.draw(st.sampled_from(_leaves(trace_doc)), label="leaf")
+    path = corrupt_dir / "trace.json"
+    _write_corrupted(trace_doc, leaf, value, path)
+    code, err = _explain(path)
+    assert code in (0, 2, 3), (leaf, value, err)
+    if code == 3:
+        load_trace(path)  # abduction failed on a trace that is well formed
+    assert err.startswith("error: ") if code in (2, 3) else err == ""
+
+
+# Bad inputs that once exited 1, 3 or 4, exited 0 silently, or warned.
+@pytest.mark.parametrize("document, leaf, value, code, message", [
+    pytest.param("scenario", ("blocks", 0, "center_x"), math.nan, 2,
+                 "center_x must be finite, got NaN", id="center-NaN"),
+    pytest.param("scenario", ("blocks", 0, "center_y"), math.inf, 2,
+                 "center_y must be finite, got Infinity", id="center-Infinity"),
+    pytest.param("trace", ("action", "offset_x"), math.nan, 2,
+                 "offset_x must be finite, got NaN", id="trace-offset-NaN"),
+    pytest.param("scenario", None, "place b2 nan 0", 2,
+                 "offset_x must be finite", id="action-offset-nan"),
+    pytest.param("scenario", ("blocks", 0, "width"), 10 ** 400, 2,
+                 "width is out of float range", id="width-10**400"),
+    pytest.param("scenario", ("blocks", 0, "center_x"), 10 ** 400, 2,
+                 "center_x is out of float range", id="center-10**400"),
+    pytest.param("scenario", ("support_half_extents", 1), 10 ** 400, 2,
+                 "support_half_extents is out of float range", id="support-10**400"),
+    pytest.param("trace", ("action", "offset_y"), 10 ** 400, 2,
+                 "offset_y is out of float range", id="trace-offset-10**400"),
+    pytest.param("scenario", ("noise", "sigma_s"), math.inf, 2,
+                 "sigma_s must be finite, got Infinity", id="sigma_s-Infinity"),
+    pytest.param("trace", ("noise", "sigma_a"), math.inf, 2,
+                 "sigma_a must be finite, got Infinity", id="trace-sigma_a-Infinity"),
+    pytest.param("trace", ("ground_truth", "exo", "ws", 0, 1), math.nan, 2,
+                 "ws[0] must be finite, got NaN", id="trace-ws-NaN"),
+    pytest.param("trace", ("ground_truth", "exo", "wa", 0), math.nan, 2,
+                 "wa must be finite, got NaN", id="trace-wa-NaN"),
+    pytest.param("scenario", ("noise", "sigma_s"), 1e308, 0, "", id="sigma_s-1e308",
+                 marks=pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                                         reason="the draws overflow: sigma_s times a unit "
+                                                "draw exceeds the float range")),
+])
+def test_hostile_input(document, leaf, value, code, message, trace_doc, tmp_path):
+    path = tmp_path / f"{document}.json"
+    if leaf is None:
+        path.write_text(json.dumps(SCENARIO_DOC))
+        result = _predict(path, action=value)
+    else:
+        _write_corrupted(SCENARIO_DOC if document == "scenario" else trace_doc, leaf, value, path)
+        result = _predict(path) if document == "scenario" else _explain(path)
+    assert result[0] == code
+    assert message in result[1] if message else result[1] == ""

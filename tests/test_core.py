@@ -9,6 +9,7 @@ import pytest
 
 from causalblocks import (
     BlockSpec,
+    ExogenousSample,
     NoiseModel,
     PlacedBlock,
     SchemaError,
@@ -82,6 +83,18 @@ def test_noise_model_rejects_non_finite_sigmas(sigmas):
         NoiseModel(*sigmas)
     with pytest.raises(ValidationError, match="finite"):
         NoiseModel(*sigmas, support_points=5)
+
+
+@pytest.mark.parametrize("ws, wa, name", [
+    (((math.nan, 0.0),), (0.0, 0.0), "ws"),
+    (((0.0, 0.0), (0.0, -math.inf)), (0.0, 0.0), "ws"),
+    (((0.0, 0.0),), (math.inf, 0.0), "wa"),
+    ((), (0.0, math.nan), "wa"),
+])
+def test_exogenous_sample_rejects_non_finite_draws(ws, wa, name):
+    with pytest.raises(ValidationError, match=f"{name} must be finite"):
+        ExogenousSample(ws=ws, wa=wa)
+    ExogenousSample(ws=tuple((0.0, -0.0) for _ in ws), wa=(1e300, -1e-300))
 
 
 def test_support_grid_is_one_read_only_array_per_k():

@@ -36,7 +36,8 @@ from causalblocks import (
     save_trace,
     transition,
 )
-from causalblocks.scm import draw_exogenous_batch, trace_from_dict, trace_to_dict
+from causalblocks.formats import trace_from_dict, trace_to_dict
+from causalblocks.scm import draw_exogenous_batch
 from causalblocks.scenarios import cube, column, two_cube_scenario
 
 from oracles import discrete_probability, tower_tuples, two_cube_place_probability
