@@ -356,6 +356,12 @@ class NoiseModel:
         _require_finite("sigma_a", self.sigma_a)
         if not (self.sigma_s >= 0.0) or not (self.sigma_a >= 0.0):
             raise ValidationError("noise sigmas must be >= 0")
+        for name in ("sigma_s", "sigma_a"):
+            value = getattr(self, name)
+            # a unit draw is below 8.6 in size: the scaled draws stay inside
+            # float range, with room for the kernel's mass-weighted sums
+            if value > 1e300:
+                raise ValidationError(f"{name} must be at most 1e300, got {value!r}")
         if self.support_points is not None and not (1 <= self.support_points <= MAX_SUPPORT_POINTS):
             raise ValidationError(
                 f"support_points must be between 1 and {MAX_SUPPORT_POINTS} when given")

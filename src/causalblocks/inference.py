@@ -11,8 +11,11 @@ Both run through ``_count_hits``: it allocates one workspace per call,
 bounded by ``_WORKSPACE_BYTES`` whatever n or the grid, packs the worlds of
 every cell end to end into blocks of that workspace, and takes each block
 from seeds through draws to the stability criterion without allocating.
-Under discrete noise, when the k^rows support tuples of one axis fit a
-block and a cell has many more worlds than tuples, a world's verdict is
+A world takes 8 + 52 rows bytes, as the criterion's corners and COMs
+reuse the spent stream and the draws, and a call cuts its worlds into the
+fewest blocks that fit, of equal size up to one world.
+Under discrete noise, when the k^rows support tuples of one axis fit the
+block capacity and a cell has many more worlds than tuples, a world's verdict is
 instead looked up in per-axis verdict tables, which each cell builds once
 from the criterion; the counts are the same bit for bit. Those tables, two
 bool arrays of k^rows per cell, are the only arrays allocated besides the
@@ -73,11 +76,12 @@ def _workspace_layout(rows: int) -> tuple:
     """Leading shape and dtype of each workspace array, per world, for the
     ``rows`` block rows the criterion reads: B for a Null query, B+1 when a
     block is placed. They are its seed; its (2, rows) draws, which turn into
-    the kernel's planes in place; the (2, 2 rows) stream and its scratch for
-    drawing them; and the criterion's COMs and corners and its comparisons
-    over (2, rows)."""
+    the kernel's planes in place and then into the criterion's COMs; the
+    (2, 2 rows) stream and its scratch for drawing them, which the
+    criterion then reuses, viewed as float, for its two (2, rows) planes of
+    corners; and the criterion's comparisons over (2, rows)."""
     return (((), np.uint64), ((2, rows), np.float64), ((2, 2 * rows), np.uint64),
-            ((3, 2, rows), np.float64), ((2, 2, rows), np.bool_))
+            ((2, 2, rows), np.bool_))
 
 
 def _bytes_per_world(rows: int) -> int:
@@ -95,17 +99,20 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
     The actions share one kind, and one block spec when they place. The
     cells' worlds are packed end to end into blocks of one workspace: seeds,
     then draws, then in place the true tower ``belief - ws`` and the landing
-    ``aim + wa``, then the criterion. Only the rows the criterion reads are
-    drawn: a Null query leaves out the actuation row. Every world keeps its
-    own stream, so the counts do not depend on the block size or on how
-    cells are packed.
+    ``aim + wa``, then the criterion, whose corners go to the spent stream
+    and whose COMs overwrite the tower. Only the rows the criterion reads
+    are drawn: a Null query leaves out the actuation row. The call takes as
+    few blocks as the workspace budget allows, all of one size up to a
+    world, so none is a small tail with a block's fixed cost. Every world
+    keeps its own stream, so the counts do not depend on the block size or
+    on how cells are packed.
 
     Under k-point noise, when the T = k^rows support tuples of one axis fit
-    one block and n is at least ``_TABLE_WORLDS_PER_TUPLE`` T and
-    ``_TABLE_MIN_WORLDS``, worlds are scored from per-axis verdict tables
-    instead. The criterion ANDs x-plane tests, which read only x centers,
-    with y-plane tests, so a world's x verdict depends only on its x
-    support indices, and likewise for y. A cell runs the criterion once on
+    the budget's block capacity and n is at least
+    ``_TABLE_WORLDS_PER_TUPLE`` T and ``_TABLE_MIN_WORLDS``, worlds are
+    scored from per-axis verdict tables instead. The criterion ANDs x-plane
+    tests, which read only x centers, with y-plane tests, so a world's x
+    verdict depends only on its x support indices, and likewise for y. A cell runs the criterion once on
     its T tuples, computed as draws are; its worlds then need only their
     support indices, and a world stands when the x table at its base-k x
     code and the y table at its y code do. The counts are those of the
@@ -127,7 +134,16 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
         raise TypeError(f"unknown action type: {actions[0]!r}")
     rows = nb + place
     total = len(actions) * n
-    size = max(1, min(_WORKSPACE_BYTES // _bytes_per_world(rows), total))
+    capacity = max(1, _WORKSPACE_BYTES // _bytes_per_world(rows))
+    blocks = -(-total // capacity)
+    k = noise.support_points
+    # The tables are built in the workspace, so the tuples must fit the
+    # block capacity, and the workspace holds at least T worlds. (An empty
+    # tower's Null query draws nothing, so it takes the draw path.)
+    lookup = (noise.discrete and rows > 0 and k ** rows <= capacity
+              and max(_TABLE_WORLDS_PER_TUPLE * k ** rows, _TABLE_MIN_WORLDS) <= n)
+    tuples = k ** rows if lookup else 0
+    size = max(-(-total // blocks), tuples)
     # One allocation, carved into the workspace arrays: freed whole, it
     # stays in the heap for the next call (glibc raises its mmap threshold
     # to the size of a freed mapping) instead of being handed back to the
@@ -138,7 +154,7 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
         nbytes = size * math.prod(shape) * np.dtype(dtype).itemsize
         arrays.append(buf[offset:offset + nbytes].view(dtype).reshape(*shape, size))
         offset += nbytes
-    seeds, eps, work, values, flags = arrays
+    seeds, eps, work, flags = arrays
     centers = belief.centers().T[:, :, None]
 
     def stable_worlds(m: int, runs) -> np.ndarray:
@@ -147,17 +163,12 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
         if place:
             for cell, a, b in runs:
                 eps[:, nb, a:b] += aims[cell]
+        corners = work[..., :m].view(np.float64)
         return _criterion(eps[..., :m], halves, masses, belief.support_half_extents,
-                          out=(values[..., :m], flags[..., :m]))[3]
+                          out=(eps[..., :m], corners[:, :rows], corners[:, rows:],
+                               flags[..., :m]))[3]
 
-    k = noise.support_points
-    # The tables are built in the workspace, so the tuples must fit one
-    # block. (An empty tower's Null query draws nothing, so it takes the
-    # draw path.)
-    lookup = (noise.discrete and rows > 0 and k ** rows <= size
-              and max(_TABLE_WORLDS_PER_TUPLE * k ** rows, _TABLE_MIN_WORLDS) <= n)
     if lookup:
-        tuples = k ** rows
         grid = noise.support_grid()
 
         def verdict_table(cell: int) -> np.ndarray:
@@ -174,8 +185,9 @@ def _count_hits(belief: TowerState, actions: Sequence[Action],
 
     hits = [0] * len(actions)
     tables = {}
-    for start in range(0, total, size):
-        m = min(size, total - start)
+    for block in range(blocks):
+        start = total * block // blocks
+        m = total * (block + 1) // blocks - start
         # (cell, first, stop) of each cell's run of worlds inside the block
         runs = [(cell, max(start, cell * n) - start, min(start + m, (cell + 1) * n) - start)
                 for cell in range(start // n, (start + m - 1) // n + 1)]

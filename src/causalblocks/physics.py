@@ -23,10 +23,13 @@ operation over long contiguous rows, and the draws in ``scm`` come out in
 the same layout, so ``outcome_mask`` reads them without a transposing copy.
 Batches are processed a block of worlds at a time (``core._WORLD_BLOCK``) to
 keep the temporaries in cache; a caller with its own workspace hands
-``_criterion`` the arrays to work in (``inference._count_hits``). The test
-``lo < com < hi`` on each axis also rules out an empty contact (``lo >=
-hi``), so the criterion has no separate overlap test; a contact that closes
-to an edge (``lo == hi``) is unstable.
+``_criterion`` the arrays to work in (``inference._count_hits``). The
+COMs may go to the planes themselves: the criterion reads the centers for
+the contact corners first, then turns them into COMs in place, so such a
+caller keeps no buffer for the COMs. The test ``lo < com < hi`` on each
+axis also rules out an empty contact (``lo >= hi``), so the criterion has
+no separate overlap test; a contact that closes to an edge (``lo == hi``)
+is unstable.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def rect_margin(px: float, py: float,
 
 def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
                support_half_extents: tuple[float, float],
-               out: Optional[tuple[np.ndarray, np.ndarray]] = None
+               out: Optional[tuple[np.ndarray, ...]] = None
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The stability criterion for ``n`` towers that share specs.
 
@@ -106,11 +109,15 @@ def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
     (B, 2) and ``masses`` (B,) apply to every tower. Returns ``(coms, lo,
     hi, stable)``: the above-group COM at each interface and the contact
     rectangle's corners, each (2, B, n), and the (n,) verdict, the AND over
-    all 2B (axis, interface) rows. ``out``, when given, is a float array
-    (3, 2, B, n) and a bool array (2, 2, B, n) that take the COMs, corners
-    and comparisons in place of fresh arrays; only the verdict is new. The
-    bool array's first (2, B, n) half then holds each (axis, interface)
-    row's test ``lo < com < hi``, so its x rows AND to the x verdict.
+    all 2B (axis, interface) rows. ``out``, when given, is ``(coms, lo, hi,
+    flags)``: three float arrays (2, B, n) that take the COMs and corners,
+    and a bool array (2, 2, B, n) that takes the comparisons, in place of
+    fresh arrays; only the verdict is new. ``coms`` may be ``planes``
+    itself: the corners are computed first, while the planes still hold
+    the centers, and the COMs then overwrite them. ``lo`` and ``hi`` must
+    not overlap ``planes``. The bool array's first (2, B, n) half then
+    holds each (axis, interface) row's test ``lo < com < hi``, so its x
+    rows AND to the x verdict.
 
     Above-group COMs are mass-weighted sums accumulated from the top block
     downward. The contact rectangle at interface k is the overlap of block
@@ -121,9 +128,20 @@ def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
     overlap test.
     """
     _, nb, n = planes.shape
-    values, flags = ((None,) * 3, (None,) * 2) if out is None else out
+    coms, lo, hi, flags = (None, None, None, (None, None)) if out is None else out
+    # Each block's footprint, then, in place from the top down, clipped by
+    # the face below it: block k-1's footprint, and the support's at k = 0.
     h = halves.T[:, :, None]
-    wsum = np.multiply(planes, masses[:, None], out=values[0])
+    lo = np.subtract(planes, h, out=lo)
+    hi = np.add(planes, h, out=hi)
+    for k in range(nb - 1, 0, -1):
+        np.maximum(lo[:, k - 1], lo[:, k], out=lo[:, k])
+        np.minimum(hi[:, k - 1], hi[:, k], out=hi[:, k])
+    support = np.asarray(support_half_extents, dtype=float)[:, None, None]
+    np.maximum(-support, lo[:, :1], out=lo[:, :1])
+    np.minimum(support, hi[:, :1], out=hi[:, :1])
+
+    wsum = np.multiply(planes, masses[:, None], out=coms)
     # Top-down running sum, in place: wsum[:, k] becomes the sum over blocks
     # k..B-1. A loop over the B rows adds in the same order as np.cumsum
     # but runs along the contiguous world axis, several times faster.
@@ -131,17 +149,6 @@ def _criterion(planes: np.ndarray, halves: np.ndarray, masses: np.ndarray,
         np.add(wsum[:, k + 1], wsum[:, k], out=wsum[:, k])
     msum = np.cumsum(masses[::-1])[::-1]
     coms = np.divide(wsum, msum[:, None], out=wsum)
-
-    # Each block's footprint, then, in place from the top down, clipped by
-    # the face below it: block k-1's footprint, and the support's at k = 0.
-    lo = np.subtract(planes, h, out=values[1])
-    hi = np.add(planes, h, out=values[2])
-    for k in range(nb - 1, 0, -1):
-        np.maximum(lo[:, k - 1], lo[:, k], out=lo[:, k])
-        np.minimum(hi[:, k - 1], hi[:, k], out=hi[:, k])
-    support = np.asarray(support_half_extents, dtype=float)[:, None, None]
-    np.maximum(-support, lo[:, :1], out=lo[:, :1])
-    np.minimum(support, hi[:, :1], out=hi[:, :1])
 
     inside = np.greater(coms, lo, out=flags[0])
     inside &= np.less(coms, hi, out=flags[1])

@@ -581,10 +581,11 @@ def test_corrupt_trace_leaf_exits_0_2_or_3(data, value, trace_doc, corrupt_dir):
                  "ws[0] must be finite, got NaN", id="trace-ws-NaN"),
     pytest.param("trace", ("ground_truth", "exo", "wa", 0), math.nan, 2,
                  "wa must be finite, got NaN", id="trace-wa-NaN"),
-    pytest.param("scenario", ("noise", "sigma_s"), 1e308, 0, "", id="sigma_s-1e308",
-                 marks=pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                                         reason="the draws overflow: sigma_s times a unit "
-                                                "draw exceeds the float range")),
+    pytest.param("scenario", ("noise", "sigma_s"), 1e308, 2,
+                 "sigma_s must be at most 1e300, got 1e+308", id="sigma_s-1e308"),
+    pytest.param("trace", ("noise", "sigma_a"), 1e308, 2,
+                 "sigma_a must be at most 1e300, got 1e+308", id="trace-sigma_a-1e308"),
+    pytest.param("scenario", ("noise", "sigma_s"), 1e300, 0, "", id="sigma_s-1e300"),
 ])
 def test_hostile_input(document, leaf, value, code, message, trace_doc, tmp_path):
     path = tmp_path / f"{document}.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,55 @@ def test_discrete_prediction_runs_the_kernel_on_the_tables_only(monkeypatch):
     predict_stability(tower, PlaceAction(cube("d"), 0.0, 0.0), NoiseModel(0.02, 0.02), 500, 9)
     predict_stability(tower, PlaceAction(cube("d"), 0.0, 0.0), noise, 2000, 9)
     assert worlds == [500, 2000]
+
+
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_workspace_holds_four_arrays_per_world(rows):
+    # a seed, the (2, rows) draws, the (2, 2 rows) stream and the (2, 2,
+    # rows) comparisons: the criterion's COMs and corners take no bytes of
+    # their own
+    import causalblocks.inference as inference_mod
+
+    assert inference_mod._bytes_per_world(rows) == 8 + 52 * rows
+
+
+def _cubes(nblocks):
+    return column([cube(f"b{i}") for i in range(nblocks)],
+                  [(0.004 * i, -0.003 * i) for i in range(nblocks)])
+
+
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_blocks_of_a_prediction_differ_by_at_most_one_world(rows, monkeypatch):
+    # A 20 000-world query takes the fewest blocks that fit the budget, all
+    # of one size up to a world: no small tail block pays a block's fixed
+    # cost. Null queries on `rows` cubes, Gaussian noise (the draw path).
+    import causalblocks.inference as inference_mod
+
+    worlds = _counting_criterion(monkeypatch)
+    predict_stability(_cubes(rows), NullAction(), NoiseModel(0.01, 0.01), 20_000, 3)
+    capacity = inference_mod._WORKSPACE_BYTES // inference_mod._bytes_per_world(rows)
+    assert sum(worlds) == 20_000 and len(worlds) == -(-20_000 // capacity)
+    assert max(worlds) - min(worlds) <= 1 and max(worlds) <= capacity
+
+
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("rows", range(1, 8))
+def test_prediction_memory_stays_within_the_workspace(rows, k):
+    # Gaussian worlds are drawn; 3-point worlds are looked up in verdict
+    # tables (3^rows <= 2187 tuples against 20 000 worlds).
+    import causalblocks.inference as inference_mod
+
+    tower = _cubes(rows - 1)
+    action = PlaceAction(cube("top"), 0.002, 0.0)
+    noise = NoiseModel(0.01, 0.01, support_points=k)
+    predict_stability(tower, action, noise, 20_000, 5)  # fills the caches
+    tracemalloc.start()
+    try:
+        predict_stability(tower, action, noise, 20_000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < inference_mod._WORKSPACE_BYTES + 64 * 1024
 
 
 def _leaning_tower(seed, nblocks):

@@ -14,7 +14,7 @@ from causalblocks import (
     rect_margin,
     transition,
 )
-from causalblocks.physics import outcome_mask, stability_mask
+from causalblocks.physics import _criterion, outcome_mask, stability_mask
 from causalblocks.scenarios import cube, column, random_scenario
 
 from oracles import axis_stable, oracle_stable, tower_tuples
@@ -204,6 +204,40 @@ def test_verdict_is_the_and_of_per_axis_verdicts(seed, scale, place):
         for axis, ok in ((0, x_ok), (1, y_ok)):
             assert ok[i] == axis_stable(masses.tolist(), centers[i, :, axis].tolist(),
                                         halves[:, axis].tolist(), support[axis])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), keep=st.integers(0, 6),
+       n=st.sampled_from([1, 7, 3000]), place=st.booleans())
+def test_criterion_in_aliased_buffers_equals_fresh_arrays(seed, keep, n, place):
+    # The buffers ``inference._count_hits`` hands the criterion: the COMs
+    # overwrite the planes, and the corners go to a uint64 stream buffer
+    # viewed as float64; all are slices of wider workspace arrays.
+    sc = random_scenario(seed, max_blocks=6)
+    tower = TowerState(sc.tower.blocks[:keep], sc.tower.support_half_extents)
+    rng = np.random.default_rng(seed)
+    centers = tower.centers() + rng.normal(0.0, 0.02, (n, len(tower), 2))
+    halves, masses = tower.half_extents(), tower.masses()
+    if place:
+        landing = np.array(tower.top_center()) + rng.normal(0.0, 0.02, (n, 1, 2))
+        centers = np.concatenate([centers, landing], axis=1)
+        halves = np.concatenate([halves, [sc.pending_blocks[0].half_extents]])
+        masses = np.append(masses, sc.pending_blocks[0].mass)
+    rows = centers.shape[1]
+    planes = np.ascontiguousarray(centers.transpose(2, 1, 0))
+    args = (halves, masses, tower.support_half_extents)
+    fresh = _criterion(planes, *args)
+
+    width = n + 5
+    eps = np.empty((2, rows, width))[..., :n]
+    eps[...] = planes
+    corners = np.empty((2, 2 * rows, width), dtype=np.uint64)[..., :n].view(np.float64)
+    flags = np.empty((2, 2, rows, width), dtype=bool)[..., :n]
+    aliased = _criterion(eps, *args, out=(eps, corners[:, :rows], corners[:, rows:], flags))
+    assert aliased[0] is eps
+    for got, want in zip(aliased, fresh):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 # --- transition ---------------------------------------------------------------
